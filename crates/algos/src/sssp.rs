@@ -15,7 +15,6 @@ use crate::report::EngineRun;
 use i2mr_common::error::Result;
 use i2mr_common::metrics::JobMetrics;
 use i2mr_core::delta::Delta;
-use i2mr_core::delta_iter::{DeltaIterativeSpec, DeltaRunReport, UpdateContract};
 use i2mr_core::incr_iter::{IncrParams, IncrRunReport};
 use i2mr_core::iter_engine::{build_partitioned, PartitionedData};
 use i2mr_core::iterative::{DependencyKind, IterParams, IterativeSpec, PreserveMode};
@@ -90,18 +89,11 @@ impl IterativeSpec for Sssp {
     fn dependency(&self) -> DependencyKind {
         DependencyKind::OneToOne
     }
-}
 
-impl DeltaIterativeSpec for Sssp {
     /// Min-plus relaxation from a converged state with improvement-only
     /// deltas (weight decreases / edge insertions) only ever shortens
-    /// distances: an emitted distance never needs to be retracted.
-    fn contract(&self) -> UpdateContract {
-        UpdateContract::Monotonic
-    }
-
-    /// A successor distance is admissible when it does not regress: it
-    /// improves, ties, or resolves a previously unreachable vertex.
+    /// distances: a successor distance improves, ties, or resolves a
+    /// previously unreachable vertex.
     fn admissible(&self, candidate: &f64, prev: &f64) -> bool {
         !prev.is_finite() || candidate <= prev
     }
@@ -401,46 +393,6 @@ pub fn i2mr_incremental(
     Ok((report, run))
 }
 
-/// Refresh on the workset-driven delta-iteration engine with FT = 0:
-/// bit-identical results to [`i2mr_incremental`], only changed keys
-/// scheduled, and the monotone min-plus contract debug-asserted.
-pub fn i2mr_delta(
-    pool: &WorkerPool,
-    cfg: &JobConfig,
-    data: &mut PartitionedData<u64, Vec<(u64, f64)>, u64, f64>,
-    stores: &StoreManager,
-    source: u64,
-    delta: &Delta<u64, Vec<(u64, f64)>>,
-    max_iterations: u64,
-) -> Result<(DeltaRunReport, EngineRun)> {
-    let started = Instant::now();
-    let spec = Sssp { source };
-    let session = RunBuilder::new(&spec)
-        .pool(pool)
-        .job(cfg.clone())
-        .incr(IncrParams {
-            filter_threshold: Some(0.0),
-            convergence_epsilon: 1e-12,
-            max_iterations,
-            ..Default::default()
-        })
-        .iter(IterParams {
-            epsilon: 1e-12,
-            max_iterations,
-            preserve: PreserveMode::None,
-        })
-        .stores_ref(stores)
-        .build()?;
-    let report = session.run_delta(data, delta)?;
-    let run = EngineRun::new(
-        "i2MR delta-iter (FT=0)",
-        report.total_metrics(),
-        started.elapsed(),
-        report.iterations.len() as u64,
-    );
-    Ok((report, run))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -552,33 +504,35 @@ mod tests {
     }
 
     #[test]
-    fn delta_refresh_is_bitwise_identical_to_incremental() {
+    fn incremental_refresh_reproduces_recorded_digests() {
+        use i2mr_common::codec::encode_to;
+        use i2mr_common::hash::stable_hash64;
+
         let g = GraphGen::new(120, 800, 23).weighted();
         let cfg = JobConfig::symmetric(3);
         let pool = WorkerPool::new(3);
-        let (mut data_full, st_full, _) =
-            i2mr_initial(&pool, &cfg, &g, 0, &tmp("dfull"), Default::default(), 300).unwrap();
-        let (mut data_delta, st_delta, _) =
-            i2mr_initial(&pool, &cfg, &g, 0, &tmp("ddelta"), Default::default(), 300).unwrap();
+        let (mut data, stores, _) =
+            i2mr_initial(&pool, &cfg, &g, 0, &tmp("digest"), Default::default(), 300).unwrap();
 
         let delta = weighted_graph_delta(&g, DeltaSpec::ten_percent(47));
-        let (full_rep, _) =
-            i2mr_incremental(&pool, &cfg, &mut data_full, &st_full, 0, &delta, 300).unwrap();
-        let (delta_rep, _) =
-            i2mr_delta(&pool, &cfg, &mut data_delta, &st_delta, 0, &delta, 300).unwrap();
-        assert!(full_rep.converged && delta_rep.converged);
-        assert_eq!(data_full.state, data_delta.state, "state diverged");
-        for p in 0..cfg.n_reduce {
+        let (report, _) =
+            i2mr_incremental(&pool, &cfg, &mut data, &stores, 0, &delta, 300).unwrap();
+        assert!(report.converged);
+        // Digests of the state and each shard's export, recorded before
+        // workset scheduling became the only incremental path.
+        assert_eq!(stable_hash64(&encode_to(&data.state)), 0xf145b81e479d6680);
+        let shards = [0xa5398ef2daab9374, 0xe7d53414ec2f227f, 0xacb67d546f6c213a];
+        for (p, digest) in shards.into_iter().enumerate() {
             assert_eq!(
-                st_full.export(p).unwrap(),
-                st_delta.export(p).unwrap(),
-                "shard {p} export diverged"
+                stable_hash64(&stores.export(p).unwrap()),
+                digest,
+                "shard {p}"
             );
         }
         // FT = 0 propagates exactly the improved keys; the exact refresh
         // matches Dijkstra on the updated graph.
         let updated = delta.apply_to(&g);
-        assert_dists_equal(&data_delta.state_snapshot(), &dijkstra(&updated, 0));
+        assert_dists_equal(&data.state_snapshot(), &dijkstra(&updated, 0));
     }
 
     #[test]

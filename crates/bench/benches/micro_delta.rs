@@ -1,10 +1,10 @@
-//! Microbench of the delta-iteration engine: **full-pass incremental
-//! refresh vs workset-driven delta iteration** on SSSP, across 0.1%, 1%
+//! Microbench of workset scheduling: **full-pass incremental refresh vs
+//! the workset-scheduled incremental engine** on SSSP, across 0.1%, 1%
 //! and 10% structural churn (the fig. 11 propagation-control shape).
 //!
 //! Both variants refresh the *same* converged shortest-path computation
 //! from the *same* seeded improvement-only weight delta, and — because
-//! min-plus propagation under the monotonic contract is exact (FT = 0) —
+//! min-plus propagation over improvement-only deltas is exact (FT = 0) —
 //! both land on the **bit-identical** fixed point (`summarize` asserts
 //! it). What differs is how much work reaching it takes:
 //!
@@ -14,7 +14,8 @@
 //!   vertex until nothing moves, then re-preserves the MRBGraph so the
 //!   computation stays refreshable — the refresh story before workset
 //!   scheduling existed.
-//! * **delta** — `DeltaIterEngine`: the changed records seed a workset,
+//! * **delta** — `RunSession::run_incremental` (through
+//!   `sssp::i2mr_incremental`): the changed records seed a workset,
 //!   each iteration maps/shuffles/reduces **only workset keys**, point
 //!   merges hit only touched shards of the preserved MRBG-Store, and
 //!   reduce-output deltas seed the next workset until it drains.
@@ -105,8 +106,8 @@ fn converge(pool: &WorkerPool, cfg: &JobConfig, churn: f64, tag: &str) -> Conver
     .unwrap();
     // Flush everything so the pristine dir is a complete, reopenable image.
     drop(stores);
-    // Improvement-only weight churn: the monotonic contract's native delta
-    // shape (weights only decrease, so distances only improve).
+    // Improvement-only weight churn: weights only decrease, so distances
+    // only improve (`Sssp::admissible` holds on every reduce output).
     let delta = weighted_graph_delta(
         &graph,
         DeltaSpec {
@@ -155,7 +156,7 @@ fn run_full(pool: &WorkerPool, cfg: &JobConfig, conv: &Converged, tag: &str) -> 
 }
 
 /// Workset-driven refresh against a restored pristine store image.
-fn run_delta(
+fn run_workset(
     pool: &WorkerPool,
     cfg: &JobConfig,
     conv: &Converged,
@@ -163,7 +164,8 @@ fn run_delta(
 ) -> SsspData {
     let mut data = conv.data.clone();
     let (rep, _) =
-        sssp::i2mr_delta(pool, cfg, &mut data, stores, SOURCE, &conv.delta, MAX_ITERS).unwrap();
+        sssp::i2mr_incremental(pool, cfg, &mut data, stores, SOURCE, &conv.delta, MAX_ITERS)
+            .unwrap();
     assert!(rep.converged, "delta refresh did not converge");
     data
 }
@@ -204,7 +206,7 @@ fn bench_refresh(c: &mut Criterion) {
         g.bench_function(BenchmarkId::new("delta", N_PARTS), |b| {
             b.iter_batched(
                 || restore(&pool, &conv, tag),
-                |stores| run_delta(&pool, &cfg, &conv, &stores),
+                |stores| run_workset(&pool, &cfg, &conv, &stores),
                 BatchSize::LargeInput,
             )
         });
@@ -214,7 +216,7 @@ fn bench_refresh(c: &mut Criterion) {
 
 /// Shape + equivalence: one refresh through each variant from the same
 /// pristine image must land on the **bit-identical** fixed point (min-plus
-/// under the monotonic contract is exact — no CPC approximation), and the
+/// over improvement-only deltas is exact — no CPC approximation), and the
 /// 1%-churn speedup clears the ≥ 3× target `scripts/bench_check.sh` gates
 /// on.
 fn summarize(_c: &mut Criterion) {
@@ -224,7 +226,7 @@ fn summarize(_c: &mut Criterion) {
 
     let full = run_full(&pool, &cfg, &conv, "eq-full");
     let stores = restore(&pool, &conv, "eq-delta");
-    let delta = run_delta(&pool, &cfg, &conv, &stores);
+    let delta = run_workset(&pool, &cfg, &conv, &stores);
     assert_eq!(
         full.state, delta.state,
         "refresh variants diverged: scheduling must not change the fixed point"
@@ -239,7 +241,7 @@ fn summarize(_c: &mut Criterion) {
             let speedup = f / d;
             let ok = if speedup >= 3.0 { "OK" } else { "MISMATCH" };
             println!(
-                "shape: SSSP refresh at {} vertices, 1% churn: workset-driven delta iteration \
+                "shape: SSSP refresh at {} vertices, 1% churn: workset-scheduled refresh \
                  {speedup:.2}x faster than full-pass incremental (target >= 3x) .. {ok}",
                 n_vertices()
             );

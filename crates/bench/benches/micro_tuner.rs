@@ -3,8 +3,8 @@
 //! shifts under the policy's feet.
 //!
 //! Both variants replay the *same* precomputed delta schedule against the
-//! *same* pristine converged SSSP store image, through the same delta
-//! engine — and land on **bit-identical** state (`summarize` asserts it;
+//! *same* pristine converged SSSP store image, through the same
+//! incremental engine — and land on **bit-identical** state (`summarize` asserts it;
 //! the tuner only moves scheduling knobs). What differs is the compaction
 //! story:
 //!
@@ -194,7 +194,7 @@ fn run_schedule(
         .build()
         .unwrap();
     for delta in &conv.deltas {
-        session.run_delta(&mut data, delta).unwrap();
+        session.run_incremental(&mut data, delta).unwrap();
     }
     data
 }

@@ -170,9 +170,9 @@ pub struct JobMetrics {
     /// Keys the change-propagation contract pruned from the next workset
     /// (reduce ran but the update was below the emission threshold).
     pub workset_skipped: u64,
-    /// Delta-iteration depth: number of workset-driven iterations executed
-    /// before the workset drained.
-    pub delta_iterations: u64,
+    /// Workset depth: number of workset-scheduled incremental iterations
+    /// executed before the workset drained.
+    pub workset_iterations: u64,
     /// Failed task attempts that were rescheduled onto another worker
     /// (paper §8.8: re-execution after a task failure).
     pub retries: u64,
@@ -230,7 +230,7 @@ impl JobMetrics {
             dfs_io,
             workset_keys,
             workset_skipped,
-            delta_iterations,
+            workset_iterations,
             retries,
             respeculations,
             salvaged_bytes,
@@ -255,7 +255,7 @@ impl JobMetrics {
         self.dfs_io += *dfs_io;
         self.workset_keys += workset_keys;
         self.workset_skipped += workset_skipped;
-        self.delta_iterations += delta_iterations;
+        self.workset_iterations += workset_iterations;
         self.retries += retries;
         self.respeculations += respeculations;
         self.salvaged_bytes += salvaged_bytes;
@@ -287,7 +287,7 @@ impl JobMetrics {
             dfs_io,
             workset_keys,
             workset_skipped,
-            delta_iterations,
+            workset_iterations,
             retries,
             respeculations,
             salvaged_bytes,
@@ -325,7 +325,7 @@ impl JobMetrics {
         io("dfs_io", dfs_io, &mut out);
         out.push(format!("workset_keys {workset_keys}"));
         out.push(format!("workset_skipped {workset_skipped}"));
-        out.push(format!("delta_iterations {delta_iterations}"));
+        out.push(format!("workset_iterations {workset_iterations}"));
         out.push(format!("retries {retries}"));
         out.push(format!("respeculations {respeculations}"));
         out.push(format!("salvaged_bytes {salvaged_bytes}"));
@@ -405,7 +405,7 @@ mod tests {
             store_bytes_reclaimed: 512,
             workset_keys: 40,
             workset_skipped: 4,
-            delta_iterations: 2,
+            workset_iterations: 2,
             retries: 3,
             respeculations: 1,
             salvaged_bytes: 64,
@@ -431,7 +431,7 @@ mod tests {
         assert_eq!(a.store_bytes_reclaimed, 512);
         assert_eq!(a.workset_keys, 40);
         assert_eq!(a.workset_skipped, 4);
-        assert_eq!(a.delta_iterations, 2);
+        assert_eq!(a.workset_iterations, 2);
         assert_eq!(a.retries, 3);
         assert_eq!(a.respeculations, 1);
         assert_eq!(a.salvaged_bytes, 64);

@@ -118,7 +118,7 @@ impl IterCheckpointer {
     }
 
     /// Save the auxiliary inter-iteration artifact (the incremental
-    /// engine's delta state / the delta engine's workset) for `iteration`.
+    /// engine's workset) for `iteration`.
     ///
     /// Engines write it *after* the state and store artifacts, so its
     /// presence marks the iteration as resumable — which is exactly what

@@ -1,4 +1,4 @@
-//! Incremental iterative processing (paper §5).
+//! Incremental iterative processing (paper §5), scheduled by workset.
 //!
 //! A sequence of jobs `A_1 … A_i` refreshes an iterative mining result as
 //! the structure data evolves. Job `A_i` starts from job `A_{i-1}`'s
@@ -13,6 +13,15 @@
 //!   `ΔD_{j-1}`: for each changed state key, the map instances of its
 //!   dependent structure records re-run and upsert their edges.
 //!
+//! That delta input is the iteration's **workset**, and it drives the
+//! scheduling end to end, in the workset/solution-set model of delta
+//! iterations (Ewen et al.): Map tasks run only for partitions holding
+//! workset entries, Sort tasks only for non-empty runs, MRBGraph point
+//! merges only for touched shards ([`StoreManager::merge_apply_touched`],
+//! index persistence deferred to the end-of-run settle), and Reduce tasks
+//! only for partitions with merge outcomes. Untouched partitions never
+//! enter the data plane; an empty workset **is** the fixed point.
+//!
 //! Two §5 mechanisms bound the work:
 //!
 //! * **Change propagation control** (§5.3, [`crate::cpc`]): recomputed state
@@ -21,13 +30,22 @@
 //! * **P∆ monitoring** (§5.2): when the delta state covers more than
 //!   `pdelta_threshold` (default 50 %) of all state kv-pairs, maintaining
 //!   the MRBGraph costs more than it saves; the engine turns it off and
-//!   finishes with plain iterative processing from the current state.
+//!   finishes with plain iterative processing from the current state, then
+//!   preserves the final MRBGraph once so the next refresh starts from
+//!   current edges.
+//!
+//! Every incremental reduce output is debug-checked against
+//! [`IterativeSpec::admissible`], so a spec can declare the update order it
+//! relies on (SSSP: distances never regress).
 
 use crate::checkpoint::IterCheckpointer;
 use crate::cpc::{ChangePropagation, Verdict};
-use crate::delta::{Delta, Op};
-use crate::iter_engine::{PartitionedData, PartitionedIterEngine, RunReport, StructGroup};
+use crate::delta::{Delta, DeltaRecord, Op};
+use crate::iter_engine::{
+    iteration_fence, PartitionedData, PartitionedIterEngine, RunReport, StructGroup,
+};
 use crate::iterative::{IterParams, IterationStats, IterativeSpec, PreserveMode};
+use crate::run::settle_trailing;
 use crate::trace::{add_stage, emit_checkpoint_restore, emit_checkpoint_save};
 use crate::tuning::EngineTuner;
 use i2mr_common::codec::{decode_exact, encode_to};
@@ -90,7 +108,7 @@ impl IncrParams {
 }
 
 /// What one incremental iteration decided about the run's control flow.
-pub(crate) enum StepOutcome {
+enum StepOutcome {
     /// Changes propagated and P∆ stayed small: keep iterating.
     Continue,
     /// No changes propagated: the refresh reached its fixed point.
@@ -103,14 +121,20 @@ pub(crate) enum StepOutcome {
 #[derive(Debug, Default)]
 pub struct IncrRunReport {
     /// Per-iteration progress (`changed_keys` = propagated kv-pairs, the
-    /// Fig. 11a series).
+    /// Fig. 11a series; `max_diff` = the largest change any re-reduced key
+    /// saw, emitted or not).
     pub iterations: Vec<IterationStats>,
-    /// Per-iteration engine metrics.
+    /// Per-iteration engine metrics. After a P∆ bailout one trailing slot
+    /// holds the final MRBGraph preservation pass.
     pub per_iteration: Vec<JobMetrics>,
+    /// Workset size entering each incremental iteration (the Fig. 11a
+    /// series measured at the scheduler). Fallback iterations after an
+    /// MRBG turn-off process the full state and add no entry.
+    pub worksets: Vec<u64>,
     /// Iteration after which MRBGraph maintenance was switched off by the
     /// P∆ monitor, if it was.
     pub mrbg_turned_off_at: Option<u64>,
-    /// Whether the run converged (no propagated changes / epsilon reached).
+    /// Whether the run converged (workset drained / fallback converged).
     pub converged: bool,
     /// Per-fence tuner decisions (empty when tuning is off; see
     /// [`crate::tuning::EngineTuner`]).
@@ -133,6 +157,12 @@ impl IncrRunReport {
     }
 }
 
+/// Shuffle buffers of one map task plus its map invocation count.
+type MapOut<S> = (
+    ShuffleBuffers<<S as IterativeSpec>::DK, Option<<S as IterativeSpec>::V2>>,
+    u64,
+);
+
 /// The incremental iterative engine. See module docs.
 pub struct IncrIterEngine<'s, S: IterativeSpec> {
     spec: &'s S,
@@ -149,20 +179,9 @@ pub struct IncrIterEngine<'s, S: IterativeSpec> {
 }
 
 impl<'s, S: IterativeSpec> IncrIterEngine<'s, S> {
-    /// Build an engine; `fallback` configures the plain iterative engine
-    /// used after a P∆-triggered MRBG turn-off.
-    #[deprecated(note = "construct runs through i2mr_core::run::RunBuilder")]
-    pub fn new(
-        spec: &'s S,
-        config: JobConfig,
-        params: IncrParams,
-        fallback: IterParams,
-    ) -> Result<Self> {
-        Self::assemble(spec, config, params, fallback)
-    }
-
-    /// The constructor behind both [`crate::run::RunBuilder`] and the
-    /// deprecated [`Self::new`] shim.
+    /// The constructor behind [`crate::run::RunSession::run_incremental`];
+    /// `fallback` configures the plain iterative engine used after an
+    /// MRBG turn-off.
     pub(crate) fn assemble(
         spec: &'s S,
         config: JobConfig,
@@ -186,26 +205,16 @@ impl<'s, S: IterativeSpec> IncrIterEngine<'s, S> {
         })
     }
 
-    /// Attach (or detach) the session's online tuner. Engines built through
-    /// the deprecated direct constructors run untuned.
+    /// Attach (or detach) the session's online tuner.
     pub(crate) fn with_tuner(mut self, tuner: Option<Arc<EngineTuner>>) -> Self {
         self.tuner = tuner;
         self
     }
 
-    /// Attach (or detach) the session's telemetry recorder. Engines built
-    /// through the deprecated direct constructors run untraced.
+    /// Attach (or detach) the session's telemetry recorder.
     pub(crate) fn with_recorder(mut self, recorder: Option<Arc<TraceRecorder>>) -> Self {
         self.recorder = recorder;
         self
-    }
-
-    /// Fold any decisions the tuner accumulated into the report (called at
-    /// every terminal return so no fence's decisions are dropped).
-    fn collect_tuning(&self, report: &mut IncrRunReport) {
-        if let Some(t) = &self.tuner {
-            report.tuning.extend(t.drain_decisions());
-        }
     }
 
     /// Run an incremental refresh.
@@ -230,24 +239,22 @@ impl<'s, S: IterativeSpec> IncrIterEngine<'s, S> {
 
         if !self.params.mrbg_enabled {
             // User declared MRBG maintenance wasteful (Kmeans-like): apply
-            // the delta and re-iterate from the converged state.
+            // the delta and re-iterate from the converged state, leaving
+            // the MRBGraph unmaintained.
             apply_structure_delta(spec, n, data, delta);
-            report.mrbg_turned_off_at = Some(0);
-            let fb = self.run_fallback(pool, data, 0)?;
-            merge_fallback(&mut report, fb);
-            if let Some(ck) = ckpt {
-                let t = Instant::now();
-                let it = report.iterations.len() as u64;
-                ck.save_iteration(it, &data.state, Some(stores))?;
-                emit_checkpoint_save(self.recorder.as_ref(), it, t);
-            }
-            settle_store_plane(stores, &mut report)?;
-            self.collect_tuning(&mut report);
-            return Ok(report);
+            return self.finish_by_iteration(
+                pool,
+                data,
+                stores,
+                PreserveMode::None,
+                0,
+                ckpt,
+                report,
+            );
         }
 
-        // Delta state flowing between iterations (ΔD_j).
-        let mut delta_state: Vec<(S::DK, S::DV)> = Vec::new();
+        // The workset flowing between iterations (ΔD_j).
+        let mut workset: Vec<(S::DK, S::DV)> = Vec::new();
 
         // Mid-run resume bookkeeping (paper §6.1 / Fig. 13).
         // `apply_structure_delta` is not idempotent, so a rewind restores a
@@ -260,7 +267,7 @@ impl<'s, S: IterativeSpec> IncrIterEngine<'s, S> {
             // leaves the caller's data untouched and the run retryable.
             let t = Instant::now();
             ck.save_iteration(0, &data.state, Some(stores))?;
-            ck.save_aux(0, &encode_to(&delta_state))?;
+            ck.save_aux(0, &encode_to(&workset))?;
             emit_checkpoint_save(self.recorder.as_ref(), 0, t);
         }
         let mut recoveries_left = crate::checkpoint::MAX_RECOVERIES;
@@ -273,7 +280,7 @@ impl<'s, S: IterativeSpec> IncrIterEngine<'s, S> {
                 data,
                 stores,
                 delta,
-                &mut delta_state,
+                &mut workset,
                 iteration,
                 ckpt,
                 &mut report,
@@ -283,28 +290,20 @@ impl<'s, S: IterativeSpec> IncrIterEngine<'s, S> {
                 Ok(StepOutcome::Continue) => iteration += 1,
                 Ok(StepOutcome::Converged) => {
                     report.converged = true;
-                    settle_store_plane(stores, &mut report)?;
-                    self.collect_tuning(&mut report);
-                    return Ok(report);
+                    return self.settle(stores, report);
                 }
                 Ok(StepOutcome::PdeltaExceeded) => {
-                    report.mrbg_turned_off_at = Some(iteration);
-                    let fb = self.run_fallback(pool, data, iteration)?;
-                    merge_fallback(&mut report, fb);
-                    // Settle first so the final checkpoint export below does
-                    // not queue behind still-running compactions.
-                    settle_store_plane(stores, &mut report)?;
-                    // The fallback iterations mutated the state without
-                    // checkpointing; persist the final state so recovery
-                    // sees the completed refresh (paper §6.1).
-                    if let Some(ck) = ckpt {
-                        let t = Instant::now();
-                        let it = report.iterations.len() as u64;
-                        ck.save_iteration(it, &data.state, Some(stores))?;
-                        emit_checkpoint_save(self.recorder.as_ref(), it, t);
-                    }
-                    self.collect_tuning(&mut report);
-                    return Ok(report);
+                    // Preserve the final MRBGraph: the next refresh must not
+                    // reduce against the edges from before the bailout.
+                    return self.finish_by_iteration(
+                        pool,
+                        data,
+                        stores,
+                        PreserveMode::FinalOnly,
+                        iteration,
+                        ckpt,
+                        report,
+                    );
                 }
                 Err(e) => {
                     // A worker-loss / store / checkpoint fault escaped the
@@ -330,23 +329,81 @@ impl<'s, S: IterativeSpec> IncrIterEngine<'s, S> {
                         let payload = ck.load_store_payload(latest, p)?;
                         stores.rebuild_shard(p, &payload)?;
                     }
-                    delta_state = decode_exact(&ck.load_aux(latest)?)?;
+                    workset = decode_exact(&ck.load_aux(latest)?)?;
                     let d = t.elapsed();
                     emit_checkpoint_restore(self.recorder.as_ref(), latest, d);
                     report.iterations.truncate(latest as usize);
                     report.per_iteration.truncate(latest as usize);
+                    report.worksets.truncate(latest as usize);
                     pending_recovery_ms += (d.as_millis() as u64).max(1);
                     iteration = latest + 1;
                 }
             }
         }
-        settle_store_plane(stores, &mut report)?;
-        self.collect_tuning(&mut report);
+        self.settle(stores, report)
+    }
+
+    /// End of run: fence compactions, flush deferred shard indexes, fold
+    /// the trailing store counters into the last iteration's metrics, and
+    /// collect the tuner's decisions.
+    fn settle(&self, stores: &StoreManager, mut report: IncrRunReport) -> Result<IncrRunReport> {
+        settle_trailing(stores, &mut report.per_iteration)?;
+        if let Some(t) = &self.tuner {
+            report.tuning.extend(t.drain_decisions());
+        }
         Ok(report)
     }
 
-    /// One incremental iteration: map the delta, shuffle, merge the delta
-    /// MRBGraph, reduce affected instances, apply updates, checkpoint.
+    /// MRBG maintenance is off (a priori, or switched off by the P∆
+    /// monitor after `after_iteration`): finish the refresh with plain
+    /// iterative processing from the current state, preserving the MRBGraph
+    /// per `preserve`, then checkpoint the final state so recovery sees the
+    /// completed refresh (paper §6.1).
+    #[allow(clippy::too_many_arguments)]
+    fn finish_by_iteration(
+        &self,
+        pool: &WorkerPool,
+        data: &mut PartitionedData<S::SK, S::SV, S::DK, S::DV>,
+        stores: &StoreManager,
+        preserve: PreserveMode,
+        after_iteration: u64,
+        ckpt: Option<&IterCheckpointer>,
+        mut report: IncrRunReport,
+    ) -> Result<IncrRunReport> {
+        report.mrbg_turned_off_at = Some(after_iteration);
+        let remaining = self
+            .params
+            .max_iterations
+            .saturating_sub(after_iteration)
+            .max(1);
+        let fb = PartitionedIterEngine::assemble(
+            self.spec,
+            self.config.clone(),
+            IterParams {
+                max_iterations: remaining,
+                epsilon: self.fallback.epsilon,
+                preserve,
+            },
+        )?
+        .with_tuner(self.tuner.clone())
+        .with_recorder(self.recorder.clone())
+        .run(pool, data, Some(stores))?;
+        merge_fallback(&mut report, fb);
+        // Settle first so the final checkpoint export does not queue
+        // behind still-running compactions.
+        let report = self.settle(stores, report)?;
+        if let Some(ck) = ckpt {
+            let t = Instant::now();
+            let it = report.iterations.len() as u64;
+            ck.save_iteration(it, &data.state, Some(stores))?;
+            emit_checkpoint_save(self.recorder.as_ref(), it, t);
+        }
+        Ok(report)
+    }
+
+    /// One workset iteration: map the workset, shuffle, point-merge the
+    /// delta MRBGraph into touched shards, reduce affected instances,
+    /// apply updates, checkpoint.
     #[allow(clippy::too_many_arguments)]
     fn step(
         &self,
@@ -354,7 +411,7 @@ impl<'s, S: IterativeSpec> IncrIterEngine<'s, S> {
         data: &mut PartitionedData<S::SK, S::SV, S::DK, S::DV>,
         stores: &StoreManager,
         delta: &Delta<S::SK, S::SV>,
-        delta_state: &mut Vec<(S::DK, S::DV)>,
+        workset: &mut Vec<(S::DK, S::DV)>,
         iteration: u64,
         ckpt: Option<&IterCheckpointer>,
         report: &mut IncrRunReport,
@@ -362,227 +419,240 @@ impl<'s, S: IterativeSpec> IncrIterEngine<'s, S> {
     ) -> Result<StepOutcome> {
         let n = self.config.n_reduce;
         let spec = self.spec;
-        {
-            let started = Instant::now();
-            let mut metrics = JobMetrics {
-                jobs_started: u64::from(iteration == 1),
-                ..Default::default()
-            };
+        let started = Instant::now();
+        let workset_len = if iteration == 1 {
+            delta.records().len() as u64
+        } else {
+            workset.len() as u64
+        };
+        let mut metrics = JobMetrics {
+            jobs_started: u64::from(iteration == 1),
+            workset_keys: workset_len,
+            workset_iterations: 1,
+            ..Default::default()
+        };
 
-            // ---------------- incremental Map ----------------
-            let t = Instant::now();
-            let (map_outputs, new_dks, map_invocations) = if iteration == 1 {
-                self.map_structure_delta(pool, data, delta)?
-            } else {
-                self.map_state_delta(pool, data, std::mem::take(delta_state), iteration)?
-            };
-            metrics.map_invocations = map_invocations;
-            add_stage(
-                self.recorder.as_ref(),
-                &mut metrics,
-                Stage::Map,
-                iteration,
-                t.elapsed(),
-            );
+        // ---------------- workset Map ----------------
+        let t = Instant::now();
+        let (map_outputs, new_dks, map_invocations) = if iteration == 1 {
+            self.map_structure_delta(pool, data, delta)?
+        } else {
+            self.map_state_delta(pool, data, std::mem::take(workset), iteration)?
+        };
+        metrics.map_invocations = map_invocations;
+        add_stage(
+            self.recorder.as_ref(),
+            &mut metrics,
+            Stage::Map,
+            iteration,
+            t.elapsed(),
+        );
 
-            // ---------------- shuffle + sort ----------------
-            let t = Instant::now();
-            let (mut runs, recs, bytes) = transpose_pooled(map_outputs, n, true, &self.recycler);
-            metrics.shuffled_records = recs;
-            metrics.shuffled_bytes = bytes;
-            add_stage(
-                self.recorder.as_ref(),
-                &mut metrics,
-                Stage::Shuffle,
-                iteration,
-                t.elapsed(),
-            );
+        // ---------------- shuffle + sort ----------------
+        let t = Instant::now();
+        let (mut runs, recs, bytes) = transpose_pooled(map_outputs, n, true, &self.recycler);
+        metrics.shuffled_records = recs;
+        metrics.shuffled_bytes = bytes;
+        add_stage(
+            self.recorder.as_ref(),
+            &mut metrics,
+            Stage::Shuffle,
+            iteration,
+            t.elapsed(),
+        );
 
-            let t = Instant::now();
-            let inline_below = self.tuner.as_ref().map_or(0, |t| t.sort_inline_threshold());
-            sort_runs_adaptive(pool, &mut runs, iteration, inline_below, false)?;
-            add_stage(
-                self.recorder.as_ref(),
-                &mut metrics,
-                Stage::Sort,
-                iteration,
-                t.elapsed(),
-            );
+        let t = Instant::now();
+        let inline_below = self.tuner.as_ref().map_or(0, |t| t.sort_inline_threshold());
+        sort_runs_adaptive(pool, &mut runs, iteration, inline_below)?;
+        add_stage(
+            self.recorder.as_ref(),
+            &mut metrics,
+            Stage::Sort,
+            iteration,
+            t.elapsed(),
+        );
 
-            // ---------------- MRBGraph merge (store plane) ----------------
-            // Each partition's delta merge runs as a first-class StoreMerge
-            // task on the store runtime, fully overlapped across shards and
-            // decoupled from the Reduce compute below.
-            let t = Instant::now();
-            let runs_ref = &runs;
-            let new_dks_ref = &new_dks;
-            let outcomes_per_p = stores.merge_apply_all(iteration, |p| {
-                let run: &[(S::DK, MapKey, Option<S::V2>)] = &runs_ref[p];
-                // Delta MRBGraph chunks for this partition. The changed-key
-                // map is the borrowed `pending` list (newly inserted state
-                // keys not yet seen in the run), checked off in place — the
-                // old shape cloned every group's encoded key into a `seen`
-                // set even on iterations whose new-key set was empty.
-                let mut deltas: Vec<DeltaChunk> = Vec::new();
-                let mut pending: Vec<&Vec<u8>> = new_dks_ref[p].iter().collect();
-                for group in groups(run) {
-                    let key = encode_to(&group[0].0);
-                    if let Ok(i) = pending.binary_search_by(|k| k.as_slice().cmp(&key)) {
-                        pending.remove(i);
-                    }
-                    let entries = group
-                        .iter()
-                        .map(|(_, mk, v)| match v {
-                            Some(v2) => DeltaEntry::Insert(*mk, encode_to(v2)),
-                            None => DeltaEntry::Delete(*mk),
-                        })
-                        .collect();
-                    deltas.push(DeltaChunk { key, entries });
+        // ---------------- MRBGraph point merge ----------------
+        // Only shards whose run (or new-key set) is non-empty get a
+        // StoreMerge task; index persistence is deferred shard-locally
+        // and flushed once at end-of-run settle.
+        let t = Instant::now();
+        let touched: Vec<usize> = (0..n)
+            .filter(|&p| !runs[p].is_empty() || !new_dks[p].is_empty())
+            .collect();
+        let runs_ref = &runs;
+        let new_dks_ref = &new_dks;
+        let outcomes_per_p = stores.merge_apply_touched(iteration, &touched, |p| {
+            let run: &[(S::DK, MapKey, Option<S::V2>)] = &runs_ref[p];
+            // The changed-key map is the borrowed `pending` list (newly
+            // inserted state keys not yet seen in the run), checked off in
+            // place.
+            let mut deltas: Vec<DeltaChunk> = Vec::new();
+            let mut pending: Vec<&Vec<u8>> = new_dks_ref[p].iter().collect();
+            for group in groups(run) {
+                let key = encode_to(&group[0].0);
+                if let Ok(i) = pending.binary_search_by(|k| k.as_slice().cmp(&key)) {
+                    pending.remove(i);
                 }
-                // Newly inserted state keys must be reduced even if no
-                // edges arrived (e.g. a vertex with no in-edges must still
-                // settle to its no-input value).
-                for key in pending {
-                    deltas.push(DeltaChunk {
-                        key: key.clone(),
-                        entries: Vec::new(),
-                    });
-                }
-                Ok(deltas)
-            })?;
+                let entries = group
+                    .iter()
+                    .map(|(_, mk, v)| match v {
+                        Some(v2) => DeltaEntry::Insert(*mk, encode_to(v2)),
+                        None => DeltaEntry::Delete(*mk),
+                    })
+                    .collect();
+                deltas.push(DeltaChunk { key, entries });
+            }
+            // Newly inserted state keys must be reduced even if no edges
+            // arrived (a vertex with no in-edges still settles to its
+            // no-input value).
+            for key in pending {
+                deltas.push(DeltaChunk {
+                    key: key.clone(),
+                    entries: Vec::new(),
+                });
+            }
+            Ok(deltas)
+        })?;
 
-            // ---------------- incremental Reduce ----------------
-            let state_parts = &data.state;
-            let effective_threshold = self.params.effective_threshold();
-            let reduce_tasks: Vec<TaskSpec<'_, (Vec<(S::DK, S::DV)>, u64)>> = outcomes_per_p
-                .iter()
-                .enumerate()
-                .map(|(p, outcomes)| {
-                    let outcomes: &[(Vec<u8>, MergeOutcome)] = outcomes;
-                    let state = &state_parts[p];
-                    TaskSpec::pinned(
-                        TaskId {
-                            kind: TaskKind::Reduce,
-                            index: p,
-                            iteration,
-                        },
-                        p % pool.n_workers(),
-                        move |_| {
-                            let mut cpc = ChangePropagation::with_threshold(effective_threshold);
-                            let mut emitted: Vec<(S::DK, S::DV)> = Vec::new();
-                            let mut invocations = 0u64;
-                            let mut values: Vec<S::V2> = Vec::new();
-                            // The merged chunk owns freshly decoded values,
-                            // so this path borrows them as a plain slice;
-                            // `values` is reused across groups.
-                            for (key_bytes, outcome) in outcomes {
-                                let dk: S::DK = decode_exact(key_bytes)?;
-                                // Deleted vertices / dangling targets have no
-                                // state entry: their chunk was maintained but
-                                // no state update applies.
-                                let Ok(idx) = state.binary_search_by(|(k, _)| k.cmp(&dk)) else {
-                                    continue;
-                                };
-                                let prev = &state[idx].1;
-                                values.clear();
-                                if let MergeOutcome::Updated(chunk) = outcome {
-                                    values.reserve(chunk.entries.len());
-                                    for e in &chunk.entries {
-                                        values.push(decode_exact(&e.value)?);
-                                    }
-                                }
-                                let candidate = spec.reduce(&dk, prev, Values::slice(&values));
-                                invocations += 1;
-                                let acc_diff = spec.difference(&candidate, prev);
-                                if cpc.judge(acc_diff) == Verdict::Emit {
-                                    emitted.push((dk, candidate));
+        // ---------------- workset Reduce ----------------
+        // Reduce tasks only for partitions with merge outcomes; each
+        // task's CPC verdicts decide the next workset.
+        let state_parts = &data.state;
+        let effective_threshold = self.params.effective_threshold();
+        let reduce_parts: Vec<usize> = (0..n).filter(|&p| !outcomes_per_p[p].is_empty()).collect();
+        let reduce_tasks: Vec<TaskSpec<'_, (Vec<(S::DK, S::DV)>, u64, u64, f64)>> = reduce_parts
+            .iter()
+            .map(|&p| {
+                let outcomes: &[(Vec<u8>, MergeOutcome)] = &outcomes_per_p[p];
+                let state = &state_parts[p];
+                TaskSpec::pinned(
+                    TaskId {
+                        kind: TaskKind::Reduce,
+                        index: p,
+                        iteration,
+                    },
+                    p % pool.n_workers(),
+                    move |_| {
+                        let mut cpc = ChangePropagation::with_threshold(effective_threshold);
+                        let mut emitted: Vec<(S::DK, S::DV)> = Vec::new();
+                        let mut invocations = 0u64;
+                        let mut max_diff = 0.0f64;
+                        // The merged chunk owns freshly decoded values, so
+                        // this path borrows them as a plain slice; `values`
+                        // is reused across groups.
+                        let mut values: Vec<S::V2> = Vec::new();
+                        for (key_bytes, outcome) in outcomes {
+                            let dk: S::DK = decode_exact(key_bytes)?;
+                            // Deleted vertices / dangling targets have no
+                            // state entry: their chunk was maintained but no
+                            // state update applies.
+                            let Ok(idx) = state.binary_search_by(|(k, _)| k.cmp(&dk)) else {
+                                continue;
+                            };
+                            let prev = &state[idx].1;
+                            values.clear();
+                            if let MergeOutcome::Updated(chunk) = outcome {
+                                values.reserve(chunk.entries.len());
+                                for e in &chunk.entries {
+                                    values.push(decode_exact(&e.value)?);
                                 }
                             }
-                            Ok((emitted, invocations))
-                        },
-                    )
-                })
-                .collect();
-            let reduce_results = pool.run_tasks(reduce_tasks)?;
-            add_stage(
-                self.recorder.as_ref(),
-                &mut metrics,
-                Stage::Reduce,
-                iteration,
-                t.elapsed(),
-            );
-            self.recycler.recycle_all(runs);
+                            let candidate = spec.reduce(&dk, prev, Values::slice(&values));
+                            invocations += 1;
+                            debug_assert!(
+                                spec.admissible(&candidate, prev),
+                                "inadmissible incremental update"
+                            );
+                            let acc_diff = spec.difference(&candidate, prev);
+                            max_diff = max_diff.max(acc_diff);
+                            if cpc.judge(acc_diff) == Verdict::Emit {
+                                emitted.push((dk, candidate));
+                            }
+                        }
+                        Ok((emitted, invocations, cpc.filtered(), max_diff))
+                    },
+                )
+            })
+            .collect();
+        let reduce_results = pool.run_tasks(reduce_tasks)?;
+        add_stage(
+            self.recorder.as_ref(),
+            &mut metrics,
+            Stage::Reduce,
+            iteration,
+            t.elapsed(),
+        );
+        self.recycler.recycle_all(runs);
 
-            // Apply emitted updates to the state (reduce task p's output is
-            // partition p's state — co-location) and gather ΔD_{j}.
-            let mut emitted_total = 0u64;
-            let mut next_delta: Vec<(S::DK, S::DV)> = Vec::new();
-            for (p, (emitted, invocations)) in reduce_results.into_iter().enumerate() {
-                metrics.reduce_invocations += invocations;
-                emitted_total += emitted.len() as u64;
-                let part = &mut data.state[p];
-                for (dk, dv) in &emitted {
-                    if let Ok(idx) = part.binary_search_by(|(k, _)| k.cmp(dk)) {
-                        part[idx].1 = dv.clone();
-                    }
+        // Apply emitted updates in ascending partition order (reduce task
+        // p's output is partition p's state — co-location) and gather the
+        // next workset.
+        let mut emitted_total = 0u64;
+        let mut max_diff = 0.0f64;
+        let mut next_workset: Vec<(S::DK, S::DV)> = Vec::new();
+        for (&p, (emitted, invocations, filtered, part_max)) in
+            reduce_parts.iter().zip(reduce_results)
+        {
+            metrics.reduce_invocations += invocations;
+            metrics.workset_skipped += filtered;
+            max_diff = max_diff.max(part_max);
+            emitted_total += emitted.len() as u64;
+            let part = &mut data.state[p];
+            for (dk, dv) in &emitted {
+                if let Ok(idx) = part.binary_search_by(|(k, _)| k.cmp(dk)) {
+                    part[idx].1 = dv.clone();
                 }
-                next_delta.extend(emitted);
             }
-            // Fault-recovery accounting: pool-level retries / speculative
-            // re-executions since the last drain, plus the rewind cost of
-            // any recovery that led into this iteration.
-            let (retries, respeculations) = pool.drain_recovery();
-            metrics.retries += retries;
-            metrics.respeculations += respeculations;
-            metrics.recovery_ms += std::mem::take(pending_recovery_ms);
-            // Fold the store plane's I/O and compaction counters into this
-            // iteration's metrics, and checkpoint, *before* scheduling
-            // background compactions: both take shard write locks and
-            // would otherwise stall behind the compactions they are meant
-            // to overlap with.
-            stores.drain_metrics(&mut metrics);
-            if let Some(tuner) = &self.tuner {
-                // Iteration fence: fold this iteration's signals into
-                // bounded policy moves *before* scheduling, so an updated
-                // per-shard policy shapes this fence's due-shard scan.
-                tuner.tick(iteration, Some(stores), pool, n, &mut metrics);
-            }
-
-            report.iterations.push(IterationStats {
-                iteration,
-                max_diff: 0.0,
-                changed_keys: emitted_total,
-                wall: started.elapsed(),
-            });
-            report.per_iteration.push(metrics);
-
-            *delta_state = next_delta;
-            if let Some(ck) = ckpt {
-                let t = Instant::now();
-                ck.save_iteration(iteration, &data.state, Some(stores))?;
-                // Aux last: its presence seals the iteration as resumable.
-                ck.save_aux(iteration, &encode_to(delta_state))?;
-                emit_checkpoint_save(self.recorder.as_ref(), iteration, t);
-            }
-
-            // End of iteration: schedule policy-driven compaction of
-            // garbage-heavy shards as detached background work — it
-            // overlaps the next iteration's map phase and is fenced
-            // before the next merge.
-            stores.schedule_compactions(iteration)?;
-
-            if emitted_total == 0 {
-                return Ok(StepOutcome::Converged);
-            }
-
-            // ---------------- P∆ monitor (§5.2) ----------------
-            let p_delta = emitted_total as f64 / data.state_len().max(1) as f64;
-            if p_delta > self.params.pdelta_threshold {
-                return Ok(StepOutcome::PdeltaExceeded);
-            }
-
-            Ok(StepOutcome::Continue)
+            next_workset.extend(emitted);
         }
+        // Fence and checkpoint *before* scheduling background compactions:
+        // both take shard write locks and would otherwise stall behind the
+        // compactions they are meant to overlap with.
+        iteration_fence(
+            pool,
+            Some(stores),
+            self.tuner.as_deref(),
+            iteration,
+            n,
+            pending_recovery_ms,
+            &mut metrics,
+        );
+
+        report.iterations.push(IterationStats {
+            iteration,
+            max_diff,
+            changed_keys: emitted_total,
+            wall: started.elapsed(),
+        });
+        report.worksets.push(workset_len);
+        report.per_iteration.push(metrics);
+
+        *workset = next_workset;
+        if let Some(ck) = ckpt {
+            let t = Instant::now();
+            ck.save_iteration(iteration, &data.state, Some(stores))?;
+            // Aux last: its presence seals the iteration as resumable.
+            ck.save_aux(iteration, &encode_to(workset))?;
+            emit_checkpoint_save(self.recorder.as_ref(), iteration, t);
+        }
+
+        // End of iteration: schedule policy-driven compaction of
+        // garbage-heavy shards as detached background work — it overlaps
+        // the next iteration's map phase and is fenced before the next
+        // merge.
+        stores.schedule_compactions(iteration)?;
+
+        if emitted_total == 0 {
+            return Ok(StepOutcome::Converged);
+        }
+
+        // ---------------- P∆ monitor (§5.2) ----------------
+        let p_delta = emitted_total as f64 / data.state_len().max(1) as f64;
+        if p_delta > self.params.pdelta_threshold {
+            return Ok(StepOutcome::PdeltaExceeded);
+        }
+        Ok(StepOutcome::Continue)
     }
 
     /// Iteration 1 map phase: run Map over the delta structure records
@@ -604,7 +674,7 @@ impl<'s, S: IterativeSpec> IncrIterEngine<'s, S> {
         let spec = self.spec;
 
         // Partition delta records by hash(project(SK)).
-        let mut per_part: Vec<Vec<(S::DK, &crate::delta::DeltaRecord<S::SK, S::SV>)>> =
+        let mut per_part: Vec<Vec<(S::DK, &DeltaRecord<S::SK, S::SV>)>> =
             (0..n).map(|_| Vec::new()).collect();
         for rec in delta.records() {
             let dk = spec.project(&rec.key);
@@ -614,11 +684,12 @@ impl<'s, S: IterativeSpec> IncrIterEngine<'s, S> {
 
         let state_parts = &data.state;
         let recycler = &self.recycler;
-        let map_tasks: Vec<TaskSpec<'_, (ShuffleBuffers<S::DK, Option<S::V2>>, u64)>> = per_part
+        let map_tasks: Vec<TaskSpec<'_, MapOut<S>>> = per_part
             .iter()
             .enumerate()
+            .filter(|(_, records)| !records.is_empty())
             .map(|(p, records)| {
-                let records: &[(S::DK, &crate::delta::DeltaRecord<S::SK, S::SV>)] = records;
+                let records: &[(S::DK, &DeltaRecord<S::SK, S::SV>)] = records;
                 let state = &state_parts[p];
                 TaskSpec::pinned(
                     TaskId {
@@ -653,27 +724,19 @@ impl<'s, S: IterativeSpec> IncrIterEngine<'s, S> {
                 )
             })
             .collect();
-        let results = pool.run_tasks(map_tasks)?;
-        let mut outputs = Vec::with_capacity(results.len());
-        let mut invocations = 0u64;
-        for (buffers, inv) in results {
-            invocations += inv;
-            outputs.push(buffers);
-        }
-
+        let (outputs, invocations) = run_map_tasks::<S>(pool, map_tasks)?;
         let new_dks = apply_structure_delta(spec, n, data, delta);
         Ok((outputs, new_dks, invocations))
     }
 
     /// Iteration j ≥ 2 map phase: re-run the map instances of the structure
-    /// records that depend on the changed state keys; all outputs are edge
-    /// upserts.
+    /// records that depend on workset keys; all outputs are edge upserts.
     #[allow(clippy::type_complexity)]
     fn map_state_delta(
         &self,
         pool: &WorkerPool,
         data: &PartitionedData<S::SK, S::SV, S::DK, S::DV>,
-        delta_state: Vec<(S::DK, S::DV)>,
+        workset: Vec<(S::DK, S::DV)>,
         iteration: u64,
     ) -> Result<(
         Vec<ShuffleBuffers<S::DK, Option<S::V2>>>,
@@ -684,16 +747,17 @@ impl<'s, S: IterativeSpec> IncrIterEngine<'s, S> {
         let spec = self.spec;
 
         let mut per_part: Vec<Vec<(S::DK, S::DV)>> = (0..n).map(|_| Vec::new()).collect();
-        for (dk, dv) in delta_state {
+        for (dk, dv) in workset {
             let p = HashPartitioner.partition(&dk, n);
             per_part[p].push((dk, dv));
         }
 
         let structure = &data.structure;
         let recycler = &self.recycler;
-        let map_tasks: Vec<TaskSpec<'_, (ShuffleBuffers<S::DK, Option<S::V2>>, u64)>> = per_part
+        let map_tasks: Vec<TaskSpec<'_, MapOut<S>>> = per_part
             .iter()
             .enumerate()
+            .filter(|(_, changes)| !changes.is_empty())
             .map(|(p, changes)| {
                 let changes: &[(S::DK, S::DV)] = changes;
                 let groups = &structure[p];
@@ -710,7 +774,7 @@ impl<'s, S: IterativeSpec> IncrIterEngine<'s, S> {
                         let mut invocations = 0u64;
                         for (dk, dv) in changes {
                             let Ok(gi) = groups.binary_search_by(|g| g.dk.cmp(dk)) else {
-                                continue; // state key with no dependents
+                                continue; // workset key with no dependents
                             };
                             for (sk, sv) in &groups[gi].records {
                                 let mk = MapKey::for_structure(&encode_to(sk));
@@ -726,68 +790,42 @@ impl<'s, S: IterativeSpec> IncrIterEngine<'s, S> {
                 )
             })
             .collect();
-        let results = pool.run_tasks(map_tasks)?;
-        let mut outputs = Vec::with_capacity(results.len());
-        let mut invocations = 0u64;
-        for (buffers, inv) in results {
-            invocations += inv;
-            outputs.push(buffers);
-        }
+        let (outputs, invocations) = run_map_tasks::<S>(pool, map_tasks)?;
         Ok((
             outputs,
             (0..n).map(|_| BTreeSet::new()).collect(),
             invocations,
         ))
     }
-
-    /// Plain iterative processing from the current state (MRBG off).
-    fn run_fallback(
-        &self,
-        pool: &WorkerPool,
-        data: &mut PartitionedData<S::SK, S::SV, S::DK, S::DV>,
-        after_iteration: u64,
-    ) -> Result<RunReport> {
-        let remaining = self
-            .params
-            .max_iterations
-            .saturating_sub(after_iteration)
-            .max(1);
-        let engine = PartitionedIterEngine::assemble(
-            self.spec,
-            self.config.clone(),
-            IterParams {
-                max_iterations: remaining,
-                epsilon: self.fallback.epsilon,
-                preserve: PreserveMode::None,
-            },
-        )?
-        .with_tuner(self.tuner.clone())
-        .with_recorder(self.recorder.clone());
-        engine.run(pool, data, None)
-    }
 }
 
-/// Settle the store plane at the end of an incremental run: fence any
-/// compactions still overlapping and fold the trailing store counters into
-/// the last iteration's metrics, so per-run totals are complete.
-///
-/// Even with no recorded iterations the end-of-run fence may retire
-/// compactions whose counters a bare `fence_compactions` would leave to be
-/// silently dropped by the manager's destructor — settle into a fresh slot
-/// instead and keep it if it carries anything.
-fn settle_store_plane(stores: &StoreManager, report: &mut IncrRunReport) -> Result<()> {
-    crate::run::settle_trailing(stores, &mut report.per_iteration)
+/// Run a workset map phase's tasks; returns their shuffle buffers and the
+/// summed map invocations.
+#[allow(clippy::type_complexity)]
+fn run_map_tasks<S: IterativeSpec>(
+    pool: &WorkerPool,
+    tasks: Vec<TaskSpec<'_, MapOut<S>>>,
+) -> Result<(Vec<ShuffleBuffers<S::DK, Option<S::V2>>>, u64)> {
+    let mut outputs = Vec::with_capacity(tasks.len());
+    let mut invocations = 0u64;
+    for (buffers, inv) in pool.run_tasks(tasks)? {
+        invocations += inv;
+        outputs.push(buffers);
+    }
+    Ok((outputs, invocations))
 }
 
 /// Merge a fallback run's report into the incremental report, renumbering
 /// iterations to continue the sequence.
 fn merge_fallback(report: &mut IncrRunReport, fb: RunReport) {
     let offset = report.iterations.len() as u64;
-    for (mut stats, metrics) in fb.iterations.into_iter().zip(fb.per_iteration) {
-        stats.iteration += offset;
-        report.iterations.push(stats);
-        report.per_iteration.push(metrics);
-    }
+    report
+        .iterations
+        .extend(fb.iterations.into_iter().map(|mut stats| {
+            stats.iteration += offset;
+            stats
+        }));
+    report.per_iteration.extend(fb.per_iteration);
     report.tuning.extend(fb.tuning);
     report.converged = fb.converged;
 }
@@ -865,6 +903,10 @@ mod tests {
     use super::*;
     use crate::iter_engine::build_partitioned;
     use crate::iterative::DependencyKind;
+    use i2mr_common::failpoint::{FailAction, FailSite, FailpointRegistry};
+    use i2mr_common::hash::stable_hash64;
+    use i2mr_mapred::pool::PoolConfig;
+    use i2mr_store::store::MrbgStore;
 
     /// PageRank-like spec used across incremental tests.
     struct MiniRank;
@@ -1186,6 +1228,37 @@ mod tests {
     }
 
     #[test]
+    fn mrbg_disabled_up_front_falls_back() {
+        let pool = WorkerPool::new(N);
+        let graph = ring_with_chords(20);
+        let st = stores(&pool, "nomrbg-ws");
+        let mut data = converge_initial(graph.clone(), &st, &pool);
+
+        let mut delta: Delta<u64, Vec<u64>> = Delta::new();
+        let old = graph[4].1.clone();
+        delta.update(4, old, vec![9]);
+
+        let engine = IncrIterEngine::assemble(
+            &MiniRank,
+            JobConfig::symmetric(N),
+            IncrParams {
+                mrbg_enabled: false,
+                max_iterations: 300,
+                ..Default::default()
+            },
+            IterParams {
+                epsilon: 1e-12,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let report = engine.run(&pool, &mut data, &st, &delta, None).unwrap();
+        assert_eq!(report.mrbg_turned_off_at, Some(0));
+        assert!(report.converged);
+        assert!(report.worksets.is_empty(), "no workset iterations ran");
+    }
+
+    #[test]
     fn empty_delta_converges_immediately() {
         let pool = WorkerPool::new(N);
         let graph = ring_with_chords(15);
@@ -1210,11 +1283,6 @@ mod tests {
 
     #[test]
     fn resumes_mid_run_after_worker_faults_bit_identical() {
-        use i2mr_common::failpoint::{FailAction, FailSite, FailpointRegistry};
-        use i2mr_mapred::pool::PoolConfig;
-        use i2mr_store::store::MrbgStore;
-        use std::sync::Arc;
-
         let pool = WorkerPool::new(N);
         let graph = ring_with_chords(40);
         let mut delta: Delta<u64, Vec<u64>> = Delta::new();
@@ -1339,5 +1407,396 @@ mod tests {
         let latest = ck.latest_complete(true).expect("checkpoints exist");
         let restored: Vec<Vec<(u64, f64)>> = ck.load_state(latest).unwrap();
         assert_eq!(restored, data.state);
+    }
+
+    fn incr_params() -> IncrParams {
+        IncrParams {
+            max_iterations: 400,
+            ..Default::default()
+        }
+    }
+
+    fn engine(params: IncrParams) -> IncrIterEngine<'static, MiniRank> {
+        IncrIterEngine::assemble(
+            &MiniRank,
+            JobConfig::symmetric(N),
+            params,
+            IterParams::default(),
+        )
+        .unwrap()
+    }
+
+    fn edge_insertion(graph: &[(u64, Vec<u64>)], v: usize, target: u64) -> Delta<u64, Vec<u64>> {
+        let mut delta = Delta::new();
+        let old = graph[v].1.clone();
+        let mut new = old.clone();
+        new.push(target);
+        delta.update(v as u64, old, new);
+        delta
+    }
+
+    /// Digests the refresh must reproduce: of the encoded state and, when
+    /// no P∆ bailout rewrote the store, of each shard's export. Recorded
+    /// before workset scheduling became the only incremental path.
+    struct Recorded {
+        state: u64,
+        shards: Option<[u64; N]>,
+    }
+
+    /// Converge `graph`, refresh it with `delta`, and check the result
+    /// against the recorded digests.
+    fn refresh_reproduces(
+        graph: Vec<(u64, Vec<u64>)>,
+        delta: &Delta<u64, Vec<u64>>,
+        params: IncrParams,
+        tag: &str,
+        want: Recorded,
+    ) -> IncrRunReport {
+        let pool = WorkerPool::new(N);
+        let st = stores(&pool, tag);
+        let mut data = converge_initial(graph, &st, &pool);
+        let report = engine(params)
+            .run(&pool, &mut data, &st, delta, None)
+            .unwrap();
+        assert!(report.converged, "{tag}: did not converge");
+        assert_eq!(
+            stable_hash64(&encode_to(&data.state)),
+            want.state,
+            "{tag}: state digest"
+        );
+        if let Some(shards) = want.shards {
+            for (p, digest) in shards.into_iter().enumerate() {
+                let export = st.export(p).unwrap();
+                assert_eq!(stable_hash64(&export), digest, "{tag}: shard {p} digest");
+            }
+        }
+        report
+    }
+
+    #[test]
+    fn edge_update_reproduces_recorded_digests() {
+        let graph = ring_with_chords(40);
+        let delta = edge_insertion(&graph, 7, 20);
+        let report = refresh_reproduces(
+            graph,
+            &delta,
+            incr_params(),
+            "d-edge",
+            Recorded {
+                state: 0x5d6bb2b45a7bdcf1,
+                shards: Some([0x88ce679040784baa, 0x03e64a45f7c8a49d, 0xf3fdaab104bf0b24]),
+            },
+        );
+        assert_eq!(report.iterations.len(), 95);
+        assert!(report.mrbg_turned_off_at.is_none());
+    }
+
+    #[test]
+    fn vertex_churn_reproduces_recorded_state_digest() {
+        let graph = ring_with_chords(30);
+        let mut delta: Delta<u64, Vec<u64>> = Delta::new();
+        delta.insert(100, vec![3]);
+        delta.delete(11, graph[11].1.clone());
+        // P∆ fires at iteration 12, so the store is rewritten by the final
+        // preservation pass: only the state digest is comparable.
+        let report = refresh_reproduces(
+            graph,
+            &delta,
+            incr_params(),
+            "d-vtx",
+            Recorded {
+                state: 0xf2fb8dc0677466e3,
+                shards: None,
+            },
+        );
+        assert_eq!(report.mrbg_turned_off_at, Some(12));
+        assert_eq!(report.iterations.len(), 57);
+    }
+
+    #[test]
+    fn cpc_threshold_reproduces_recorded_digests() {
+        let graph = ring_with_chords(60);
+        let mut delta: Delta<u64, Vec<u64>> = Delta::new();
+        delta.update(0, graph[0].1.clone(), vec![30]);
+        let params = IncrParams {
+            filter_threshold: Some(0.001),
+            max_iterations: 200,
+            ..Default::default()
+        };
+        let report = refresh_reproduces(
+            graph,
+            &delta,
+            params,
+            "d-cpc",
+            Recorded {
+                state: 0x1f351d4b29f52a16,
+                shards: Some([0x7a8312bd847b2f80, 0xdee56aa410d36b7c, 0xe65890fc350a1dc7]),
+            },
+        );
+        // CPC verdicts below threshold are the pruned workset entries.
+        assert!(
+            report.total_metrics().workset_skipped > 0,
+            "threshold 0.001 must prune something"
+        );
+    }
+
+    #[test]
+    fn pdelta_fallback_reproduces_recorded_state_digest() {
+        let graph = ring_with_chords(20);
+        let mut delta: Delta<u64, Vec<u64>> = Delta::new();
+        for i in 0..14u64 {
+            let old = graph[i as usize].1.clone();
+            delta.update(i, old, vec![(i + 9) % 20]);
+        }
+        let params = IncrParams {
+            max_iterations: 300,
+            ..Default::default()
+        };
+        let report = refresh_reproduces(
+            graph,
+            &delta,
+            params,
+            "d-pdelta",
+            Recorded {
+                state: 0xb343741f287aecbd,
+                shards: None,
+            },
+        );
+        assert_eq!(report.mrbg_turned_off_at, Some(1));
+        assert_eq!(report.worksets.len(), 1, "one workset iteration before P∆");
+    }
+
+    #[test]
+    fn bailout_preserves_final_mrbgraph_for_next_refresh() {
+        let pool = WorkerPool::new(N);
+        let graph = ring_with_chords(20);
+        let st = stores(&pool, "bailout");
+        let mut data = converge_initial(graph.clone(), &st, &pool);
+        let params = IncrParams {
+            max_iterations: 300,
+            ..Default::default()
+        };
+
+        // Refresh 1 rewires 14 of 20 vertices: P∆ fires.
+        let mut delta: Delta<u64, Vec<u64>> = Delta::new();
+        let mut updated = graph;
+        for i in 0..14u64 {
+            let new = vec![(i + 9) % 20];
+            delta.update(i, updated[i as usize].1.clone(), new.clone());
+            updated[i as usize].1 = new;
+        }
+        let first = engine(params)
+            .run(&pool, &mut data, &st, &delta, None)
+            .unwrap();
+        assert!(first.mrbg_turned_off_at.is_some(), "P∆ must fire");
+
+        // Refresh 2 adds one edge and stays incremental throughout: it
+        // reduces against the MRBGraph refresh 1 left behind.
+        let delta = edge_insertion(&updated, 15, 7);
+        updated[15].1.push(7);
+        let second = engine(params)
+            .run(&pool, &mut data, &st, &delta, None)
+            .unwrap();
+        assert!(second.converged);
+        assert!(second.mrbg_turned_off_at.is_none(), "no second bailout");
+        assert_states_close(&data.state_snapshot(), &oracle(updated, &pool), 2e-5);
+    }
+
+    #[test]
+    fn iterations_report_max_diff() {
+        let pool = WorkerPool::new(N);
+        let graph = ring_with_chords(40);
+        let st = stores(&pool, "maxdiff");
+        let mut data = converge_initial(graph.clone(), &st, &pool);
+        let params = incr_params();
+        let delta = edge_insertion(&graph, 7, 20);
+        let report = engine(params)
+            .run(&pool, &mut data, &st, &delta, None)
+            .unwrap();
+        assert!(report.converged);
+        let first = &report.iterations[0];
+        let last = report.iterations.last().unwrap();
+        assert!(first.max_diff > 0.0, "iteration 1 changed ranks");
+        assert!(
+            last.max_diff < params.effective_threshold(),
+            "converged iteration max_diff {}",
+            last.max_diff
+        );
+    }
+
+    #[test]
+    fn empty_workset_is_the_fixed_point() {
+        let pool = WorkerPool::new(N);
+        let graph = ring_with_chords(15);
+        let st = stores(&pool, "d-empty");
+        let mut data = converge_initial(graph, &st, &pool);
+        let before = data.state_snapshot();
+
+        let delta: Delta<u64, Vec<u64>> = Delta::new();
+        let report = engine(IncrParams::default())
+            .run(&pool, &mut data, &st, &delta, None)
+            .unwrap();
+        assert!(report.converged);
+        assert_eq!(report.iterations.len(), 1, "one probing iteration");
+        assert_eq!(report.worksets, vec![0]);
+        let total = report.total_metrics();
+        assert_eq!(total.workset_keys, 0);
+        assert_eq!(total.workset_iterations, 1);
+        assert_eq!(total.map_invocations + total.reduce_invocations, 0);
+        assert_eq!(data.state_snapshot(), before);
+    }
+
+    #[test]
+    fn workset_metrics_track_keys_processed() {
+        let graph = ring_with_chords(90);
+        let delta = edge_insertion(&graph, 7, 40);
+        let report = refresh_reproduces(
+            graph,
+            &delta,
+            incr_params(),
+            "d-metrics",
+            Recorded {
+                state: 0x6394a7ba3f82fb99,
+                shards: Some([0x0aab71beb00c8f74, 0x5c4d2256753f771d, 0x79076ba79b4cdb8b]),
+            },
+        );
+        let total = report.total_metrics();
+        assert_eq!(total.workset_iterations, report.iterations.len() as u64);
+        assert_eq!(
+            report.worksets.iter().sum::<u64>(),
+            total.workset_keys,
+            "workset series and counter must agree"
+        );
+        // Low churn: the workset — not the state width — drives reduce
+        // work. Each workset key touches a handful of dependents (ring +
+        // chord out-degree ≤ 2), so keys processed stays within a small
+        // factor of the summed workset, far below full-width re-reduction.
+        assert!(
+            total.reduce_invocations <= 4 * total.workset_keys.max(1),
+            "reduce invocations {} not workset-bound (workset {})",
+            total.reduce_invocations,
+            total.workset_keys
+        );
+        // Exact propagation keeps a decaying wavefront circulating, so
+        // the per-iteration workset is the wavefront (~a third of this
+        // small ring), not the state width.
+        let full_width = 90 * report.iterations.len() as u64;
+        assert!(
+            total.reduce_invocations < full_width / 2,
+            "reduce invocations {} ~ full width {}",
+            total.reduce_invocations,
+            full_width
+        );
+    }
+
+    #[test]
+    fn store_merge_faults_during_workset_merges_recover_via_reschedule() {
+        let pool = WorkerPool::new(N);
+        let graph = ring_with_chords(40);
+        let delta = edge_insertion(&graph, 7, 20);
+        let engine = engine(incr_params());
+
+        // Fault-free reference.
+        let st_ref = stores(&pool, "mergefault-ref");
+        let mut data_ref = converge_initial(graph.clone(), &st_ref, &pool);
+        assert!(
+            engine
+                .run(&pool, &mut data_ref, &st_ref, &delta, None)
+                .unwrap()
+                .converged
+        );
+
+        // Faulted run: the workset-scoped StoreMerge tasks die on their
+        // first attempts; the executor reschedules them cross-worker. The
+        // failpoint fires *before* the shard lock, so the deferred-index
+        // merge path sees each delta exactly once and the end-of-run
+        // settle persists a consistent index.
+        let mut st = stores(&pool, "mergefault");
+        let mut data = converge_initial(graph, &st, &pool);
+        let fp = Arc::new(FailpointRegistry::seeded(9, 2).arm(
+            FailSite::StoreAppend,
+            1.0,
+            FailAction::Error,
+        ));
+        st.set_failpoints(Arc::clone(&fp));
+        let report = engine.run(&pool, &mut data, &st, &delta, None).unwrap();
+        assert!(report.converged);
+        assert_eq!(fp.fired(), 2, "both budgeted merge faults must fire");
+        assert_eq!(
+            report.total_metrics().retries,
+            2,
+            "rescheduled merge attempts must be accounted"
+        );
+
+        // Bit-identical state, byte-identical shards after settle — the
+        // rescheduled merges neither lost nor double-applied deltas.
+        assert_eq!(data_ref.state, data.state);
+        for p in 0..N {
+            assert_eq!(st_ref.export(p).unwrap(), st.export(p).unwrap());
+        }
+    }
+
+    #[test]
+    fn resumes_mid_run_after_vertex_churn_bit_identical() {
+        let pool = WorkerPool::new(N);
+        let graph = ring_with_chords(30);
+        let mut delta: Delta<u64, Vec<u64>> = Delta::new();
+        delta.insert(100, vec![3]);
+        delta.delete(11, graph[11].1.clone());
+        let engine = engine(incr_params());
+
+        let st_ref = stores(&pool, "dresume-ref");
+        let mut data_ref = converge_initial(graph.clone(), &st_ref, &pool);
+        assert!(
+            engine
+                .run(&pool, &mut data_ref, &st_ref, &delta, None)
+                .unwrap()
+                .converged
+        );
+
+        let st_seed = stores(&pool, "dresume-seed");
+        let mut data = converge_initial(graph, &st_seed, &pool);
+        let payloads: Vec<Vec<u8>> = (0..N).map(|p| st_seed.export(p).unwrap()).collect();
+        drop(st_seed);
+
+        let fp = Arc::new(FailpointRegistry::seeded(33, 3).arm(
+            FailSite::TaskRun,
+            1.0,
+            FailAction::Error,
+        ));
+        let faulty = WorkerPool::with_config(PoolConfig {
+            max_attempts: 1,
+            failpoints: Arc::clone(&fp),
+            ..PoolConfig::new(N)
+        });
+        let dir = std::env::temp_dir().join(format!(
+            "i2mr-delta-resume-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let shards = payloads
+            .iter()
+            .enumerate()
+            .map(|(p, payload)| {
+                MrbgStore::import(dir.join(format!("shard-{p}")), payload, Default::default())
+                    .unwrap()
+            })
+            .collect();
+        let st = StoreManager::from_stores(&faulty, shards, Default::default()).unwrap();
+        let dfs = i2mr_dfs::MiniDfs::open_with(dir.join("dfs"), 1 << 20, 2).unwrap();
+        let ck = IterCheckpointer::new(&dfs, "dresume", N);
+
+        let report = engine
+            .run(&faulty, &mut data, &st, &delta, Some(&ck))
+            .unwrap();
+        assert!(report.converged);
+        assert!(fp.fired() >= 1);
+        let total = report.total_metrics();
+        assert!(total.recovery_ms > 0);
+        assert_eq!(data_ref.state, data.state);
+        for p in 0..N {
+            assert_eq!(st_ref.export(p).unwrap(), st.export(p).unwrap());
+        }
     }
 }

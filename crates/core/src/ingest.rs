@@ -22,16 +22,16 @@
 //!   marks, turn invalidations into *targeted recomputation* (a
 //!   delete+re-insert of the key's current structure record, which remaps
 //!   exactly that record and upserts exactly the MRBG-Store chunks it
-//!   feeds), run a workset-driven delta refresh, and only then commit the
-//!   cursor — a failed refresh leaves the high-water marks untouched, so
-//!   the next call replays the same batch.
+//!   feeds), run a workset-scheduled incremental refresh, and only then
+//!   commit the cursor — a failed refresh leaves the high-water marks
+//!   untouched, so the next call replays the same batch.
 //!
 //! The shape follows production incremental pipelines (SNIPPETS.md §2:
 //! `dataset_cursors` high-water marks, `partition_versions.config_hash` /
 //! `schema_hash`, and a `data_invalidations` ledger drained by jobs).
 
 use crate::delta::{Delta, DeltaRecord};
-use crate::delta_iter::{DeltaIterativeSpec, DeltaRunReport};
+use crate::incr_iter::IncrRunReport;
 use crate::iter_engine::PartitionedData;
 use crate::iterative::IterativeSpec;
 use crate::run::RunSession;
@@ -328,14 +328,14 @@ fn current_structure_value<S: IterativeSpec>(
 
 impl<'s, S: IterativeSpec> RunSession<'s, S> {
     /// Drain `source` past `cursor`'s high-water marks and refresh the
-    /// computation with a workset-driven delta run.
+    /// computation with [`RunSession::run_incremental`].
     ///
     /// * `Record` items become the structure delta, exactly as a delta
     ///   file would.
     /// * `Invalidate { key }` items become a delete+re-insert of the
-    ///   key's *current* structure record: the delta engine then remaps
-    ///   exactly that record, upserts exactly the MRBG-Store chunks it
-    ///   feeds, and seeds the workset with exactly the state keys it
+    ///   key's *current* structure record: the incremental engine then
+    ///   remaps exactly that record, upserts exactly the MRBG-Store chunks
+    ///   it feeds, and seeds the workset with exactly the state keys it
     ///   touches — targeted recomputation, not a full rebuild.
     ///   Invalidations of keys absent from the structure are counted but
     ///   produce no work.
@@ -351,9 +351,8 @@ impl<'s, S: IterativeSpec> RunSession<'s, S> {
         data: &mut PartitionedData<S::SK, S::SV, S::DK, S::DV>,
         cursor: &mut IngestCursor,
         source: &Src,
-    ) -> Result<DeltaRunReport>
+    ) -> Result<IncrRunReport>
     where
-        S: DeltaIterativeSpec,
         Src: IngestSource<S::SK, S::SV>,
     {
         let engine_hash = self.config().config_hash();
@@ -373,7 +372,7 @@ impl<'s, S: IterativeSpec> RunSession<'s, S> {
                     records: batch.records,
                 });
             }
-            return Ok(DeltaRunReport {
+            return Ok(IncrRunReport {
                 converged: true,
                 ..Default::default()
             });
@@ -388,7 +387,7 @@ impl<'s, S: IterativeSpec> RunSession<'s, S> {
             }
         }
 
-        let mut report = self.run_delta(data, &delta)?;
+        let mut report = self.run_incremental(data, &delta)?;
         let counters = JobMetrics {
             ingested_records: batch.records,
             invalidated_keys,

@@ -223,15 +223,9 @@ pub struct PartitionedIterEngine<'s, S: IterativeSpec> {
 }
 
 impl<'s, S: IterativeSpec> PartitionedIterEngine<'s, S> {
-    /// Build an engine. `config.n_map` / `n_reduce` must be equal (the
-    /// co-location scheme pairs map task i with reduce task i).
-    #[deprecated(note = "construct runs through i2mr_core::run::RunBuilder")]
-    pub fn new(spec: &'s S, config: JobConfig, params: IterParams) -> Result<Self> {
-        Self::assemble(spec, config, params)
-    }
-
-    /// The constructor behind both [`crate::run::RunBuilder`] and the
-    /// deprecated [`Self::new`] shim.
+    /// The constructor behind [`crate::run::RunSession::run_initial`].
+    /// `config.n_map` / `n_reduce` must be equal (the co-location scheme
+    /// pairs map task i with reduce task i).
     pub(crate) fn assemble(spec: &'s S, config: JobConfig, params: IterParams) -> Result<Self> {
         config.validate()?;
         if config.n_map != config.n_reduce {
@@ -249,15 +243,13 @@ impl<'s, S: IterativeSpec> PartitionedIterEngine<'s, S> {
         })
     }
 
-    /// Attach (or detach) the session's online tuner. Engines built through
-    /// the deprecated direct constructors run untuned.
+    /// Attach (or detach) the session's online tuner.
     pub(crate) fn with_tuner(mut self, tuner: Option<Arc<EngineTuner>>) -> Self {
         self.tuner = tuner;
         self
     }
 
-    /// Attach (or detach) the session's telemetry recorder. Engines built
-    /// through the deprecated direct constructors run untraced.
+    /// Attach (or detach) the session's telemetry recorder.
     pub(crate) fn with_recorder(mut self, recorder: Option<Arc<TraceRecorder>>) -> Self {
         self.recorder = recorder;
         self
@@ -279,17 +271,7 @@ impl<'s, S: IterativeSpec> PartitionedIterEngine<'s, S> {
         data: &mut PartitionedData<S::SK, S::SV, S::DK, S::DV>,
         stores: Option<&StoreManager>,
     ) -> Result<RunReport> {
-        let preserve_each = matches!(self.params.preserve, PreserveMode::EveryIteration);
-        if matches!(
-            self.params.preserve,
-            PreserveMode::EveryIteration | PreserveMode::FinalOnly
-        ) && stores.is_none()
-        {
-            return Err(i2mr_common::error::Error::config(
-                "MRBGraph preservation requested but no stores supplied",
-            ));
-        }
-
+        let iteration_stores = self.iteration_stores(stores)?;
         let mut report = RunReport::default();
         for iteration in 1..=self.params.max_iterations {
             let started = Instant::now();
@@ -302,7 +284,8 @@ impl<'s, S: IterativeSpec> PartitionedIterEngine<'s, S> {
                 pool,
                 data,
                 iteration,
-                if preserve_each { stores } else { None },
+                iteration_stores,
+                &mut 0, // no checkpoint, so no rewind cost to charge
                 &mut metrics,
             )?;
             let stats = IterationStats {
@@ -318,18 +301,45 @@ impl<'s, S: IterativeSpec> PartitionedIterEngine<'s, S> {
                 break;
             }
         }
+        self.finish(pool, data, stores, report)
+    }
 
-        if matches!(self.params.preserve, PreserveMode::FinalOnly) {
-            // Materialize the MRBGraph of the converged state in one extra
-            // pass (ablation vs. paying preservation every iteration).
-            let mut metrics = JobMetrics::default();
-            self.materialize_mrbg(pool, data, stores.unwrap(), &mut metrics)?;
-            report.per_iteration.push(metrics);
+    /// The store plane each iteration preserves into (`None` unless
+    /// preserving every iteration), after checking that preservation has
+    /// stores to write.
+    fn iteration_stores<'a>(
+        &self,
+        stores: Option<&'a StoreManager>,
+    ) -> Result<Option<&'a StoreManager>> {
+        match self.params.preserve {
+            PreserveMode::None => Ok(None),
+            _ if stores.is_none() => Err(i2mr_common::error::Error::config(
+                "MRBGraph preservation requested but no stores supplied",
+            )),
+            PreserveMode::EveryIteration => Ok(stores),
+            PreserveMode::FinalOnly => Ok(None),
         }
+    }
+
+    /// End of run: materialize the converged MRBGraph under
+    /// [`PreserveMode::FinalOnly`] (one extra pass — the ablation vs paying
+    /// preservation every iteration), settle compactions the final
+    /// iterations may still be overlapping (folding the trailing
+    /// store-plane counters into the last iteration's metrics), and
+    /// collect the tuner's decisions.
+    fn finish(
+        &self,
+        pool: &WorkerPool,
+        data: &PartitionedData<S::SK, S::SV, S::DK, S::DV>,
+        stores: Option<&StoreManager>,
+        mut report: RunReport,
+    ) -> Result<RunReport> {
         if let Some(stores) = stores {
-            // Compactions scheduled by the final iterations may still be
-            // overlapping; settle them and fold the trailing store-plane
-            // counters into the last iteration's metrics.
+            if self.params.preserve == PreserveMode::FinalOnly {
+                let mut metrics = JobMetrics::default();
+                self.materialize_mrbg(pool, data, stores, &mut metrics)?;
+                report.per_iteration.push(metrics);
+            }
             crate::run::settle_trailing(stores, &mut report.per_iteration)?;
         }
         if let Some(tuner) = &self.tuner {
@@ -350,17 +360,7 @@ impl<'s, S: IterativeSpec> PartitionedIterEngine<'s, S> {
         stores: Option<&StoreManager>,
         ck: &IterCheckpointer,
     ) -> Result<RunReport> {
-        let preserve_each = matches!(self.params.preserve, PreserveMode::EveryIteration);
-        if matches!(
-            self.params.preserve,
-            PreserveMode::EveryIteration | PreserveMode::FinalOnly
-        ) && stores.is_none()
-        {
-            return Err(i2mr_common::error::Error::config(
-                "MRBGraph preservation requested but no stores supplied",
-            ));
-        }
-        let ckpt_stores = if preserve_each { stores } else { None };
+        let ckpt_stores = self.iteration_stores(stores)?;
 
         // Iteration-0 baseline: written before any mutation, so a baseline
         // failure leaves the caller's data untouched and the run retryable.
@@ -380,7 +380,14 @@ impl<'s, S: IterativeSpec> PartitionedIterEngine<'s, S> {
                 ..Default::default()
             };
             let step = self
-                .run_iteration(pool, data, iteration, ckpt_stores, &mut metrics)
+                .run_iteration(
+                    pool,
+                    data,
+                    iteration,
+                    ckpt_stores,
+                    &mut pending_recovery_ms,
+                    &mut metrics,
+                )
                 .and_then(|stats| {
                     let t = Instant::now();
                     ck.save_iteration(iteration, &data.state, ckpt_stores)?;
@@ -391,10 +398,6 @@ impl<'s, S: IterativeSpec> PartitionedIterEngine<'s, S> {
                 });
             match step {
                 Ok(stats) => {
-                    let (retries, respeculations) = pool.drain_recovery();
-                    metrics.retries += retries;
-                    metrics.respeculations += respeculations;
-                    metrics.recovery_ms += std::mem::take(&mut pending_recovery_ms);
                     let stats = IterationStats {
                         iteration,
                         wall: started.elapsed(),
@@ -434,28 +437,18 @@ impl<'s, S: IterativeSpec> PartitionedIterEngine<'s, S> {
                 }
             }
         }
-
-        if matches!(self.params.preserve, PreserveMode::FinalOnly) {
-            let mut metrics = JobMetrics::default();
-            self.materialize_mrbg(pool, data, stores.unwrap(), &mut metrics)?;
-            report.per_iteration.push(metrics);
-        }
-        if let Some(stores) = stores {
-            crate::run::settle_trailing(stores, &mut report.per_iteration)?;
-        }
-        if let Some(tuner) = &self.tuner {
-            report.tuning = tuner.drain_decisions();
-        }
-        Ok(report)
+        self.finish(pool, data, stores, report)
     }
 
-    /// One prime-Map → shuffle → sort → prime-Reduce iteration.
+    /// One prime-Map → shuffle → sort → prime-Reduce iteration, closed by
+    /// the [`iteration_fence`].
     fn run_iteration(
         &self,
         pool: &WorkerPool,
         data: &mut PartitionedData<S::SK, S::SV, S::DK, S::DV>,
         iteration: u64,
         stores: Option<&StoreManager>,
+        pending_recovery_ms: &mut u64,
         metrics: &mut JobMetrics,
     ) -> Result<IterationStats> {
         let n = self.config.n_reduce;
@@ -527,7 +520,7 @@ impl<'s, S: IterativeSpec> PartitionedIterEngine<'s, S> {
         // tuner's inline threshold are sorted on the caller).
         let t = Instant::now();
         let inline_below = self.tuner.as_ref().map_or(0, |t| t.sort_inline_threshold());
-        sort_runs_adaptive(pool, &mut runs, iteration, inline_below, false)?;
+        sort_runs_adaptive(pool, &mut runs, iteration, inline_below)?;
         add_stage(
             self.recorder.as_ref(),
             metrics,
@@ -647,20 +640,15 @@ impl<'s, S: IterativeSpec> PartitionedIterEngine<'s, S> {
             iteration,
             t.elapsed(),
         );
-        if let Some(stores) = stores {
-            // Drain the store plane's counters *before* scheduling: the
-            // drain takes every shard's write lock, so doing it after
-            // would block behind the just-submitted compactions and
-            // forfeit the overlap. (A still-running compaction's stats
-            // land in a later drain — the final fence folds the rest.)
-            stores.drain_metrics(metrics);
-        }
-        if let Some(tuner) = &self.tuner {
-            // Iteration fence: fold this iteration's signals into bounded
-            // policy moves *before* scheduling, so an updated per-shard
-            // policy shapes this fence's due-shard scan.
-            tuner.tick(iteration, stores, pool, n, metrics);
-        }
+        iteration_fence(
+            pool,
+            stores,
+            self.tuner.as_deref(),
+            iteration,
+            n,
+            pending_recovery_ms,
+            metrics,
+        );
         if let Some(stores) = stores {
             // End of iteration: schedule policy-driven compactions as
             // detached background work. They overlap the *next*
@@ -782,6 +770,41 @@ impl<'s, S: IterativeSpec> PartitionedIterEngine<'s, S> {
         stores.drain_metrics(metrics);
         self.recycler.recycle_all(runs);
         Ok(())
+    }
+}
+
+/// The fence that closes every iteration of the partitioned engines, run
+/// once the iteration's tasks have finished and *before* any background
+/// compaction is scheduled:
+///
+/// 1. fault-recovery accounting — the pool's retries / speculative
+///    re-executions since the last drain, plus the rewind cost of any
+///    recovery that led into this iteration (`pending_recovery_ms`);
+/// 2. the store plane's I/O and compaction counters (the drain takes every
+///    shard's write lock, so draining after scheduling would block behind
+///    the just-submitted compactions and forfeit the overlap; a still
+///    running compaction's stats land in a later drain);
+/// 3. the tuner tick, which folds this iteration's signals into bounded
+///    policy moves so an updated per-shard policy shapes this fence's
+///    due-shard scan.
+pub(crate) fn iteration_fence(
+    pool: &WorkerPool,
+    stores: Option<&StoreManager>,
+    tuner: Option<&EngineTuner>,
+    iteration: u64,
+    n_parts: usize,
+    pending_recovery_ms: &mut u64,
+    metrics: &mut JobMetrics,
+) {
+    let (retries, respeculations) = pool.drain_recovery();
+    metrics.retries += retries;
+    metrics.respeculations += respeculations;
+    metrics.recovery_ms += std::mem::take(pending_recovery_ms);
+    if let Some(stores) = stores {
+        stores.drain_metrics(metrics);
+    }
+    if let Some(tuner) = tuner {
+        tuner.tick(iteration, stores, pool, n_parts, metrics);
     }
 }
 

@@ -94,6 +94,15 @@ pub trait IterativeSpec: Send + Sync {
 
     /// Declared dependency type (paper: `setProjectType`).
     fn dependency(&self) -> DependencyKind;
+
+    /// Whether `candidate` is a legal successor of `prev` during an
+    /// incremental refresh. Debug-asserted on every incremental reduce
+    /// output; a spec whose refresh relies on an improvement order (SSSP's
+    /// min-plus distances never regress) overrides it so a violating delta
+    /// fails loudly instead of converging somewhere unspecified.
+    fn admissible(&self, _candidate: &Self::DV, _prev: &Self::DV) -> bool {
+        true
+    }
 }
 
 /// Spec of an iterative computation whose state is one small kv-pair,

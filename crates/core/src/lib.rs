@@ -13,23 +13,18 @@
 //!   preservation off this is the `iterMR` baseline; with preservation on
 //!   it is the initial run an incremental job continues from.
 //! * [`incr_iter`] — incremental iterative processing: converged-state
-//!   reuse, delta-structure/delta-state iterations, change propagation
-//!   control, and the P∆ monitor that auto-disables MRBGraph maintenance
-//!   (paper §5).
-//! * [`delta_iter`] — the workset-driven delta-iteration engine: maps,
-//!   shuffles, and reduces **only changed keys** against the solution set
-//!   preserved in the store plane, generalizing change propagation from a
-//!   post-hoc filter into scheduling. Bit-identical results to
-//!   [`incr_iter`], a fraction of the scheduling and index-persistence
-//!   work on low-churn refreshes.
+//!   reuse, delta-structure/delta-state iterations scheduled by workset
+//!   (only changed keys are mapped, shuffled, merged into the store plane
+//!   and reduced), change propagation control, and the P∆ monitor that
+//!   auto-disables MRBGraph maintenance (paper §5).
 //! * [`run`] — the single construction surface for all engines: a
 //!   validated [`run::EngineConfig`] behind a [`run::RunBuilder`] that
-//!   assembles a [`run::RunSession`] (initial/incremental/delta runs,
-//!   serving handles, settled teardown).
+//!   assembles a [`run::RunSession`] (initial/incremental runs, serving
+//!   handles, settled teardown).
 //! * [`ingest`] — cursor-based ingestion: partitioned, sequence-numbered
 //!   feeds consumed through high-water-mark [`ingest::IngestCursor`]s,
 //!   with config/schema versioning and invalidations that trigger
-//!   targeted recomputation via the delta engine.
+//!   targeted recomputation via the incremental engine.
 //! * [`cpc`] — the change propagation filter (paper §5.3).
 //! * [`checkpoint`] — per-iteration state/MRBGraph checkpoints (paper §6.1).
 //! * [`delta`] — the `+`/`−` delta input representation (paper §3.3).
@@ -85,7 +80,6 @@ pub mod accumulator;
 pub mod checkpoint;
 pub mod cpc;
 pub mod delta;
-pub mod delta_iter;
 pub mod incr_iter;
 pub mod ingest;
 pub mod iter_engine;
@@ -101,7 +95,6 @@ pub use accumulator::{Accumulator, AccumulatorEngine};
 pub use checkpoint::IterCheckpointer;
 pub use cpc::{ChangePropagation, Verdict};
 pub use delta::{Delta, DeltaRecord, Op};
-pub use delta_iter::{DeltaIterEngine, DeltaIterativeSpec, DeltaRunReport, UpdateContract};
 pub use incr_iter::{IncrIterEngine, IncrParams, IncrRunReport};
 pub use ingest::{FeedItem, IngestBatch, IngestCursor, IngestSource, MemSource};
 pub use iter_engine::{

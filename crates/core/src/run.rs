@@ -1,12 +1,9 @@
 //! The unified engine front door: [`RunBuilder`] → [`RunSession`].
 //!
-//! Before this module, every refresh mode had its own constructor —
-//! `PartitionedIterEngine::new`, `IncrIterEngine::new`,
-//! `DeltaIterEngine::new` — each taking a slightly different parameter
-//! bundle, and every caller re-assembled the same scaffolding around them:
-//! a worker pool, a [`StoreManager`] over a directory, an optional
-//! [`IterCheckpointer`], and a hand-rolled end-of-run settle of the store
-//! plane. The builder collapses that into one surface:
+//! Every run needs the same scaffolding around its engine: a worker pool,
+//! a [`StoreManager`] over a directory, an optional [`IterCheckpointer`],
+//! an end-of-run settle of the store plane, and the session's tuner and
+//! telemetry. The builder assembles it behind one surface:
 //!
 //! ```text
 //! RunBuilder::new(&spec)          // what to compute
@@ -17,21 +14,17 @@
 //!     .build()?                   // -> RunSession
 //! ```
 //!
-//! The session then exposes the three refresh modes as methods —
-//! [`RunSession::run_initial`], [`RunSession::run_incremental`],
-//! [`RunSession::run_delta`] — plus the serving plane
-//! ([`RunSession::serve`]) and a single [`RunSession::finish`] that settles
-//! the store plane (fence overlapped compactions, flush deferred indexes,
-//! drain trailing counters) exactly once and hands the stores back.
-//!
-//! The legacy constructors remain as `#[deprecated]` shims so downstream
-//! code keeps compiling while it migrates; they delegate to the same
-//! `assemble` internals the session uses, so both paths are bit-identical
-//! (see `crates/core/tests/builder_equivalence.rs`).
+//! The session then exposes the run modes as methods —
+//! [`RunSession::run_initial`], [`RunSession::run_incremental`] (and
+//! [`RunSession::refresh_from`], its cursor-fed form) — plus the serving
+//! plane ([`RunSession::serve`]) and a single [`RunSession::finish`] that
+//! settles the store plane (fence overlapped compactions, flush deferred
+//! indexes, drain trailing counters) exactly once and hands the stores
+//! back. The engines' constructors are crate-private: the builder is the
+//! only way to assemble a run.
 
 use crate::checkpoint::IterCheckpointer;
 use crate::delta::Delta;
-use crate::delta_iter::{DeltaIterEngine, DeltaIterativeSpec, DeltaRunReport};
 use crate::incr_iter::{IncrIterEngine, IncrParams, IncrRunReport};
 use crate::iter_engine::{PartitionedData, PartitionedIterEngine, RunReport};
 use crate::iterative::{IterParams, IterativeSpec};
@@ -50,16 +43,15 @@ use std::sync::Arc;
 
 /// Every knob of an engine run, consolidated.
 ///
-/// One struct replaces the loose `(JobConfig, IterParams, IncrParams,
-/// StoreRuntimeConfig, ...)` tuples the legacy constructors took, with one
-/// [`EngineConfig::validate`] enforcing the cross-field invariants the
-/// engines used to re-check individually.
+/// One struct holds the `(JobConfig, IterParams, IncrParams,
+/// StoreRuntimeConfig, ...)` knobs, with one [`EngineConfig::validate`]
+/// enforcing the cross-field invariants the engines rely on.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// Task/worker counts and retry budget.
     pub job: JobConfig,
     /// Full-run iteration knobs; also the fallback parameters an
-    /// incremental/delta run uses after a P∆-triggered MRBG turn-off.
+    /// incremental run uses after an MRBG turn-off.
     pub iter: IterParams,
     /// Incremental-run knobs (CPC thresholds, P∆ monitor, MRBG toggle).
     pub incr: IncrParams,
@@ -307,7 +299,7 @@ impl<'s, S: IterativeSpec> RunBuilder<'s, S> {
     /// let mut active = TuningConfig::with_mode(TuningMode::Active);
     /// active.serve_p99_ceiling_nanos = 2_000_000; // guard serving tail
     /// let session = RunBuilder::new(&spec).tuning(active).build().unwrap();
-    /// let report = session; // run_initial / run_incremental / run_delta...
+    /// let report = session; // run_initial / run_incremental / refresh_from...
     /// # let _ = report;
     /// ```
     pub fn tuning(mut self, tuning: TuningConfig) -> Self {
@@ -597,8 +589,9 @@ impl<'s, S: IterativeSpec> RunSession<'s, S> {
         }
     }
 
-    /// Run an incremental refresh (`config.incr`) of a previously
-    /// converged computation against `delta`. Requires a store plane.
+    /// Run a workset-scheduled incremental refresh (`config.incr`) of a
+    /// previously converged computation against `delta`. Requires a store
+    /// plane.
     pub fn run_incremental(
         &self,
         data: &mut PartitionedData<S::SK, S::SV, S::DK, S::DV>,
@@ -606,28 +599,6 @@ impl<'s, S: IterativeSpec> RunSession<'s, S> {
     ) -> Result<IncrRunReport> {
         let stores = self.stores_required("run_incremental")?;
         let engine = IncrIterEngine::assemble(
-            self.spec,
-            self.config.job.clone(),
-            self.config.incr,
-            self.config.iter,
-        )?
-        .with_tuner(self.tuner.clone())
-        .with_recorder(self.telemetry.recorder_handle());
-        engine.run(&self.pool, data, stores, delta, self.checkpointer())
-    }
-
-    /// Run a workset-driven delta refresh of a previously converged
-    /// computation against `delta`. Requires a store plane.
-    pub fn run_delta(
-        &self,
-        data: &mut PartitionedData<S::SK, S::SV, S::DK, S::DV>,
-        delta: &Delta<S::SK, S::SV>,
-    ) -> Result<DeltaRunReport>
-    where
-        S: DeltaIterativeSpec,
-    {
-        let stores = self.stores_required("run_delta")?;
-        let engine = DeltaIterEngine::assemble(
             self.spec,
             self.config.job.clone(),
             self.config.incr,
@@ -711,9 +682,6 @@ impl<'s, S: IterativeSpec> RunSession<'s, S> {
 /// no recorded iteration — into a fresh slot kept only if it carries
 /// anything (a bare fence would silently drop retired compactions'
 /// counters in the manager's destructor).
-///
-/// This is the one implementation behind what used to be three
-/// near-identical per-engine epilogues.
 pub(crate) fn settle_trailing(
     stores: &StoreManager,
     per_iteration: &mut Vec<JobMetrics>,
@@ -870,6 +838,42 @@ mod tests {
         }
         let fin = session.finish().unwrap();
         assert!(fin.stores.is_none());
+    }
+
+    #[test]
+    fn run_initial_reports_its_own_retries() {
+        use i2mr_common::failpoint::{FailAction, FailSite, FailpointRegistry};
+        use i2mr_mapred::pool::PoolConfig;
+
+        // Two seeded task faults, each absorbed by an executor retry, on a
+        // run without a checkpointer.
+        let fp = Arc::new(FailpointRegistry::seeded(7, 2).arm(
+            FailSite::TaskRun,
+            1.0,
+            FailAction::Error,
+        ));
+        let pool = WorkerPool::with_config(PoolConfig {
+            max_attempts: 3,
+            failpoints: Arc::clone(&fp),
+            ..PoolConfig::new(3)
+        });
+        let spec = Averager;
+        let session = RunBuilder::new(&spec)
+            .job(JobConfig::symmetric(3))
+            .pool(&pool)
+            .iter(IterParams {
+                max_iterations: 100,
+                epsilon: 1e-12,
+                preserve: PreserveMode::None,
+            })
+            .build()
+            .unwrap();
+        let mut data = build_partitioned(&spec, 3, ring(30));
+        let report = session.run_initial(&mut data).unwrap();
+        assert!(report.converged);
+        assert_eq!(fp.fired(), 2);
+        assert_eq!(report.total_metrics().retries, fp.fired());
+        assert_eq!(pool.drain_recovery(), (0, 0), "nothing left pending");
     }
 
     #[test]

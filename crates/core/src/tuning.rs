@@ -56,7 +56,7 @@ struct TunerState {
 ///
 /// Shared (`Arc`) between the [`crate::run::RunSession`] that built it and
 /// the engine executing the current run, so decisions accumulate across
-/// `run_initial` → `run_incremental` → `run_delta` on one session and the
+/// `run_initial` → `run_incremental` → `refresh_from` on one session and the
 /// serving plane's latency histogram stays attached throughout.
 pub struct EngineTuner {
     cfg: TuningConfig,

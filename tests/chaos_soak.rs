@@ -14,9 +14,9 @@
 //!    escape to the engine's checkpoint-rewind path (PageRank, incr),
 //! 2. worker **panics** absorbed by cross-worker rescheduling (PageRank,
 //!    incr),
-//! 3. store-plane I/O faults absorbed by task retries (SSSP, delta-iter),
+//! 3. store-plane I/O faults absorbed by task retries (SSSP, incr),
 //! 4. **torn tails** tampered onto shard chunk files, salvaged on reopen
-//!    (SSSP, delta-iter).
+//!    (SSSP, incr).
 
 use i2mapreduce::algos::{pagerank, sssp};
 use i2mapreduce::core::checkpoint::IterCheckpointer;
@@ -175,7 +175,7 @@ fn sssp_workload(
     let dir = scratch(&format!("sssp-{tag}-ref"));
     let st = import_stores(&pool, &dir, &payloads);
     let mut data = data0.clone();
-    let (rep, _) = sssp::i2mr_delta(&pool, &cfg, &mut data, &st, 0, &delta, 300).unwrap();
+    let (rep, _) = sssp::i2mr_incremental(&pool, &cfg, &mut data, &st, 0, &delta, 300).unwrap();
     assert!(rep.converged, "{tag}: reference refresh did not converge");
     let exports: Vec<Vec<u8>> = (0..N).map(|p| st.export(p).unwrap()).collect();
     drop(st);
@@ -330,7 +330,7 @@ fn store_io_faults_absorbed_by_task_retries() {
         st.set_failpoints(Arc::clone(&fp));
         let mut data = data0.clone();
 
-        let (rep, _) = sssp::i2mr_delta(&pool, &cfg, &mut data, &st, 0, &delta, 300).unwrap();
+        let (rep, _) = sssp::i2mr_incremental(&pool, &cfg, &mut data, &st, 0, &delta, 300).unwrap();
         assert!(rep.converged, "round {r}: faulted refresh did not converge");
         total_fired += fp.fired();
         assert_eq!(want_state, data.state, "round {r}: state diverged");
@@ -378,7 +378,7 @@ fn torn_tails_salvaged_on_reopen() {
 
         let st = StoreManager::open(&pool, &dir, N, Default::default()).unwrap();
         let mut data = data0.clone();
-        let (rep, _) = sssp::i2mr_delta(&pool, &cfg, &mut data, &st, 0, &delta, 300).unwrap();
+        let (rep, _) = sssp::i2mr_incremental(&pool, &cfg, &mut data, &st, 0, &delta, 300).unwrap();
         assert!(rep.converged, "round {r}: refresh did not converge");
         assert_eq!(
             rep.total_metrics().salvaged_bytes,

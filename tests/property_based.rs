@@ -441,10 +441,10 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Workset contract (delta-iteration engine)
+// Workset contract (incremental engine)
 // ---------------------------------------------------------------------------
 //
-// The delta-iteration engine's scheduling contract, model-checked over
+// The incremental engine's workset scheduling contract, model-checked over
 // random graphs and deltas:
 //
 // * workset emptiness ⇔ fixed point: the engine reports convergence
@@ -458,7 +458,7 @@ proptest! {
 use i2mapreduce::core::iterative::DependencyKind;
 use i2mapreduce::store::StoreManager;
 
-/// PageRank-like retractable spec for the workset properties.
+/// PageRank-like spec for the workset properties.
 struct PropRank;
 
 impl IterativeSpec for PropRank {
@@ -491,12 +491,6 @@ impl IterativeSpec for PropRank {
     }
     fn dependency(&self) -> DependencyKind {
         DependencyKind::OneToOne
-    }
-}
-
-impl DeltaIterativeSpec for PropRank {
-    fn contract(&self) -> UpdateContract {
-        UpdateContract::Retractable
     }
 }
 
@@ -593,7 +587,7 @@ proptest! {
         }
         delta.update(v, old, new);
 
-        let report = ws_session(&pool, &stores).run_delta(&mut data, &delta).unwrap();
+        let report = ws_session(&pool, &stores).run_incremental(&mut data, &delta).unwrap();
 
         // Convergence ⇔ the final iteration emitted an empty workset.
         let last_emitted = report.iterations.last().unwrap().changed_keys;
@@ -624,12 +618,12 @@ proptest! {
         // Retract the record, converge, then re-insert it and converge.
         let mut retract: Delta<u64, Vec<u64>> = Delta::new();
         retract.delete(record.0, record.1.clone());
-        let rep = session.run_delta(&mut data, &retract).unwrap();
+        let rep = session.run_incremental(&mut data, &retract).unwrap();
         prop_assert!(rep.converged);
 
         let mut reinsert: Delta<u64, Vec<u64>> = Delta::new();
         reinsert.insert(record.0, record.1.clone());
-        let rep = session.run_delta(&mut data, &reinsert).unwrap();
+        let rep = session.run_incremental(&mut data, &reinsert).unwrap();
         prop_assert!(rep.converged);
 
         // Same solution set: identical keys, values back at the original
@@ -655,7 +649,7 @@ proptest! {
         let before = data.state_snapshot();
 
         let delta: Delta<u64, Vec<u64>> = Delta::new();
-        let report = ws_session(&pool, &stores).run_delta(&mut data, &delta).unwrap();
+        let report = ws_session(&pool, &stores).run_incremental(&mut data, &delta).unwrap();
         prop_assert!(report.converged);
         prop_assert_eq!(report.iterations.len(), 1);
         prop_assert_eq!(report.iterations[0].changed_keys, 0);
